@@ -31,7 +31,8 @@
 # Extras under metrics-on:
 #   - grep gate           (matching / vector-clock computation confined
 #                          to src/analysis; everything else consumes
-#                          Session artifacts)
+#                          Session artifacts; no unordered_map/_set in
+#                          src/analysis or src/causality)
 #   - ctest -L obs        (the obs label must select the obs suite)
 #   - abl_pass_fusion     (asserts fused-sweep ≥2x cpu-time over the
 #                          N-scan baseline and incremental ≥10x over
@@ -113,6 +114,15 @@ leaks="$(grep -rnE 'compute_match_report|compute_rank_index|compute_traffic|comp
 if [[ -n "$leaks" ]]; then
   echo "FAIL: matching/vector-clock computation outside src/analysis:" >&2
   echo "$leaks" >&2
+  exit 1
+fi
+# The passes read the dense per-event index (trace::RankIndex): no hash
+# map or set keyed by event index in the analysis or causality layers.
+hashed="$(grep -rnE 'unordered_(map|set)' "$repo/src/analysis" "$repo/src/causality" \
+          --include='*.cpp' --include='*.hpp' || true)"
+if [[ -n "$hashed" ]]; then
+  echo "FAIL: hash containers in src/analysis or src/causality:" >&2
+  echo "$hashed" >&2
   exit 1
 fi
 echo "grep gate OK"

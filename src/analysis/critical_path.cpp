@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
+#include "causality/causal_order.hpp"
 #include "obs/metrics.hpp"
-#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace tdbg::analysis {
@@ -21,19 +20,9 @@ CriticalPath critical_path(const trace::Trace& trace,
   out.per_rank.assign(static_cast<std::size_t>(trace.num_ranks()), 0);
   if (trace.empty()) return out;
 
-  std::unordered_map<std::size_t, std::size_t> send_of_recv;
-  for (const auto& m : matches.matches) {
-    send_of_recv.emplace(m.recv_index, m.send_index);
-  }
-
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::vector<support::TimeNs> best(trace.size(), 0);  // path cost ending here
   std::vector<support::TimeNs> eff(trace.size(), 0);   // effective durations
-  std::vector<std::size_t> pred(trace.size(), kNone);
-
-  // Per-rank program-order sequences come from the session's shared
-  // rank index — random-accessed by the worklist below.
-  const auto& seqs = index.seq;
+  std::vector<std::size_t> pred(trace.size(), trace::kNoEvent);
 
   // Weights are profiler-style *self times*: an event's interval minus
   // the intervals of events directly nested inside it on the same rank
@@ -68,42 +57,24 @@ CriticalPath critical_path(const trace::Trace& trace,
         0, recv.t_end - std::max(recv.t_start, send.t_end));
   }
 
-  // Process in dependency order: per-rank program order, with receives
-  // gated on their matched send (same worklist scheme as CausalOrder).
-  std::vector<std::size_t> next(static_cast<std::size_t>(trace.num_ranks()), 0);
-  std::vector<bool> done(trace.size(), false);
-  std::size_t remaining = trace.size();
-  bool progressed = true;
-  while (remaining > 0) {
-    TDBG_CHECK(progressed, "cyclic message dependency in trace");
-    progressed = false;
-    for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-      const auto& seq = seqs[static_cast<std::size_t>(r)];
-      auto& pos = next[static_cast<std::size_t>(r)];
-      while (pos < seq.size()) {
-        const std::size_t e = seq[pos];
-        const auto dep = send_of_recv.find(e);
-        if (dep != send_of_recv.end() && !done[dep->second]) break;
-
-        support::TimeNs incoming = 0;
-        std::size_t from = kNone;
-        if (pos > 0) {
-          incoming = best[seq[pos - 1]];
-          from = seq[pos - 1];
-        }
-        if (dep != send_of_recv.end() && best[dep->second] > incoming) {
-          incoming = best[dep->second];
-          from = dep->second;
-        }
-        best[e] = incoming + eff[e];
-        pred[e] = from;
-        done[e] = true;
-        --remaining;
-        ++pos;
-        progressed = true;
-      }
+  // Longest path in dependency order: each event extends the costlier
+  // of its program-order predecessor and its matched send.
+  causality::for_each_in_causal_order(index, [&](std::size_t e) {
+    const std::size_t pos = index.position[e];
+    support::TimeNs incoming = 0;
+    std::size_t from = trace::kNoEvent;
+    if (pos > 0) {
+      from = index.seq[static_cast<std::size_t>(index.rank[e])][pos - 1];
+      incoming = best[from];
     }
-  }
+    if (const std::size_t send = index.send_of[e];
+        send != trace::kNoEvent && best[send] > incoming) {
+      incoming = best[send];
+      from = send;
+    }
+    best[e] = incoming + eff[e];
+    pred[e] = from;
+  });
 
   // Walk back from the costliest endpoint.
   std::size_t tail = 0;
@@ -111,7 +82,7 @@ CriticalPath critical_path(const trace::Trace& trace,
     if (best[e] > best[tail]) tail = e;
   }
   out.total = best[tail];
-  for (std::size_t e = tail; e != kNone; e = pred[e]) {
+  for (std::size_t e = tail; e != trace::kNoEvent; e = pred[e]) {
     out.events.push_back(e);
   }
   std::reverse(out.events.begin(), out.events.end());
@@ -119,11 +90,11 @@ CriticalPath critical_path(const trace::Trace& trace,
   mpi::Rank prev_rank = -1;
   out.durations.reserve(out.events.size());
   for (const auto e : out.events) {
-    const auto& ev = trace.event(e);
+    const mpi::Rank rank = index.rank[e];
     out.durations.push_back(eff[e]);
-    out.per_rank[static_cast<std::size_t>(ev.rank)] += eff[e];
-    if (prev_rank >= 0 && ev.rank != prev_rank) ++out.rank_switches;
-    prev_rank = ev.rank;
+    out.per_rank[static_cast<std::size_t>(rank)] += eff[e];
+    if (prev_rank >= 0 && rank != prev_rank) ++out.rank_switches;
+    prev_rank = rank;
   }
   return out;
 }

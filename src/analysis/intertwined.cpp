@@ -3,8 +3,7 @@
 namespace tdbg::analysis {
 
 std::vector<IntertwinedPair> find_intertwined(
-    const trace::Trace& trace, const causality::CausalOrder& order) {
-  (void)trace;
+    const causality::CausalOrder& order) {
   std::vector<IntertwinedPair> out;
   const auto& matches = order.matches().matches;
   for (std::size_t i = 0; i < matches.size(); ++i) {

@@ -32,6 +32,6 @@ struct IntertwinedPair {
 /// Finds all intertwined message pairs.  Quadratic in the number of
 /// messages; fine for debugging-session-sized traces.
 std::vector<IntertwinedPair> find_intertwined(
-    const trace::Trace& trace, const causality::CausalOrder& order);
+    const causality::CausalOrder& order);
 
 }  // namespace tdbg::analysis

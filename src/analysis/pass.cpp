@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
@@ -252,10 +251,11 @@ trace::MatchReport compute_match_report(const SweepData& sweep) {
 }
 
 std::shared_ptr<const trace::RankIndex> compute_rank_index(
-    const SweepData& sweep) {
+    const SweepData& sweep, const trace::MatchReport& report) {
   auto index = std::make_shared<trace::RankIndex>();
   index->seq.resize(sweep.rank_order.size());
   index->position.assign(sweep.num_events, 0);
+  index->rank.assign(sweep.num_events, 0);
   exec::Executor::global().parallel_for(
       sweep.rank_order.size(), "session.rank_index.build",
       [&](std::size_t r) {
@@ -263,9 +263,16 @@ std::shared_ptr<const trace::RankIndex> compute_rank_index(
         seq.reserve(sweep.rank_order[r].size());
         for (const auto& [marker, i] : sweep.rank_order[r]) {
           index->position[i] = seq.size();
+          index->rank[i] = static_cast<mpi::Rank>(r);
           seq.push_back(i);
         }
       });
+  index->send_of.assign(sweep.num_events, trace::kNoEvent);
+  index->recv_of.assign(sweep.num_events, trace::kNoEvent);
+  for (const auto& m : report.matches) {
+    index->send_of[m.recv_index] = m.send_index;
+    index->recv_of[m.send_index] = m.recv_index;
+  }
   return index;
 }
 
@@ -293,24 +300,17 @@ struct TrafficPartial {
   std::vector<RankAgg> ranks;
 };
 
-/// Display-index lookup tables over the sweep's records — the fused
-/// pipeline's replacement for the per-match `trace.event()` calls.
-struct RecordsByIndex {
-  std::unordered_map<std::size_t, const SweepSend*> sends;
-  std::unordered_map<std::size_t, const SweepRecv*> recvs;
+/// Dense display-index tables over the sweep's records: `send[i]` /
+/// `recv[i]` is event i's record, null when i is no send / receive.
+struct DenseRecords {
+  std::vector<const SweepSend*> send;
+  std::vector<const SweepRecv*> recv;
 
-  explicit RecordsByIndex(const SweepData& sweep) {
-    std::size_t ns = 0;
-    std::size_t nr = 0;
+  explicit DenseRecords(const SweepData& sweep)
+      : send(sweep.num_events, nullptr), recv(sweep.num_events, nullptr) {
     for (const auto& [key, ch] : sweep.channels) {
-      ns += ch.sends.size();
-      nr += ch.recvs.size();
-    }
-    sends.reserve(ns);
-    recvs.reserve(nr);
-    for (const auto& [key, ch] : sweep.channels) {
-      for (const auto& s : ch.sends) sends.emplace(s.index, &s);
-      for (const auto& r : ch.recvs) recvs.emplace(r.index, &r);
+      for (const auto& s : ch.sends) send[s.index] = &s;
+      for (const auto& r : ch.recvs) recv[r.index] = &r;
     }
   }
 };
@@ -330,7 +330,7 @@ TrafficReport compute_traffic(const SweepData& sweep,
     out.ranks[static_cast<std::size_t>(r)].rank = r;
   }
 
-  const RecordsByIndex recs(sweep);
+  const DenseRecords recs(sweep);
 
   const std::size_t nmatches = report.matches.size();
   const std::size_t nchunks = (nmatches + kMatchChunk - 1) / kMatchChunk;
@@ -343,8 +343,8 @@ TrafficReport compute_traffic(const SweepData& sweep,
         const std::size_t hi = std::min(lo + kMatchChunk, nmatches);
         for (std::size_t k = lo; k < hi; ++k) {
           const auto& m = report.matches[k];
-          const SweepSend& send = *recs.sends.at(m.send_index);
-          const SweepRecv& recv = *recs.recvs.at(m.recv_index);
+          const SweepSend& send = *recs.send[m.send_index];
+          const SweepRecv& recv = *recs.recv[m.recv_index];
           auto& ch = part.channels[{send.rank, send.peer}];
           ch.src = send.rank;
           ch.dst = send.peer;
@@ -409,7 +409,7 @@ TrafficReport compute_traffic(const SweepData& sweep,
 
   // Irregularities: missed messages first.
   for (std::size_t i : report.unmatched_sends) {
-    const SweepSend& e = *recs.sends.at(i);
+    const SweepSend& e = *recs.send[i];
     std::ostringstream os;
     os << "missed message: send " << e.rank << "->" << e.peer << " tag "
        << e.tag << " was never received";
@@ -417,7 +417,7 @@ TrafficReport compute_traffic(const SweepData& sweep,
         Irregularity::Kind::kUnmatchedSend, e.rank, i, os.str()});
   }
   for (std::size_t i : report.unmatched_recvs) {
-    const SweepRecv& e = *recs.recvs.at(i);
+    const SweepRecv& e = *recs.recv[i];
     std::ostringstream os;
     os << "orphan receive on rank " << e.rank << " from " << e.peer
        << " (no send record)";
@@ -488,13 +488,14 @@ MessagePools compute_message_pools(const SweepData& sweep) {
 graph::CommGraph compute_comm_graph(const SweepData& sweep,
                                     const trace::MatchReport& report,
                                     const trace::RankIndex& index) {
-  const RecordsByIndex recs(sweep);
+  const DenseRecords recs(sweep);
 
   // Node per matched pair, then per unmatched half.  Matched node i is
   // simply match i, so the slots fill in parallel chunks; the chunk
   // size is fixed so the layout never depends on thread count.
   const std::size_t nmatches = report.matches.size();
   std::vector<graph::MessageNode> nodes(nmatches);
+  std::vector<std::size_t> node_of(sweep.num_events, graph::kNoEvent);
   const std::size_t chunk = trace::kInMemorySegmentEvents;
   const std::size_t nchunks = (nmatches + chunk - 1) / chunk;
   exec::Executor::global().parallel_for(
@@ -503,41 +504,31 @@ graph::CommGraph compute_comm_graph(const SweepData& sweep,
         const std::size_t hi = std::min(lo + chunk, nmatches);
         for (std::size_t k = lo; k < hi; ++k) {
           const auto& m = report.matches[k];
-          const SweepSend& send = *recs.sends.at(m.send_index);
-          graph::MessageNode node;
-          node.send_event = m.send_index;
-          node.recv_event = m.recv_index;
-          node.src = send.rank;
-          node.dst = send.peer;
-          node.tag = send.tag;
-          nodes[k] = node;
+          const SweepSend& send = *recs.send[m.send_index];
+          nodes[k] = graph::MessageNode{m.send_index, m.recv_index, send.rank,
+                                        send.peer, send.tag};
+          node_of[m.send_index] = k;
+          node_of[m.recv_index] = k;
         }
       });
-  std::unordered_map<std::size_t, std::size_t> node_of_event;
-  node_of_event.reserve(2 * nmatches + report.unmatched_sends.size() +
-                        report.unmatched_recvs.size());
-  for (std::size_t k = 0; k < nmatches; ++k) {
-    node_of_event[report.matches[k].send_index] = k;
-    node_of_event[report.matches[k].recv_index] = k;
-  }
   for (std::size_t i : report.unmatched_sends) {
-    const SweepSend& send = *recs.sends.at(i);
-    node_of_event[i] = nodes.size();
+    const SweepSend& send = *recs.send[i];
+    node_of[i] = nodes.size();
     nodes.push_back(graph::MessageNode{i, graph::kNoEvent, send.rank,
                                        send.peer, send.tag});
   }
   for (std::size_t i : report.unmatched_recvs) {
-    const SweepRecv& recv = *recs.recvs.at(i);
-    node_of_event[i] = nodes.size();
+    const SweepRecv& recv = *recs.recv[i];
+    node_of[i] = nodes.size();
     nodes.push_back(graph::MessageNode{graph::kNoEvent, i, recv.peer,
                                        recv.rank, recv.tag});
   }
 
   // Arcs: per rank, consecutive message endpoints in program order
   // connect their messages.  The shared rank index supplies program
-  // order; non-message events simply miss the node lookup.  Rank
-  // sweeps are independent and the set union below is
-  // order-insensitive, so the final sorted arc list is deterministic.
+  // order; non-message events have no node.  Rank sweeps are
+  // independent and the set union below is order-insensitive, so the
+  // final sorted arc list is deterministic.
   const std::size_t nranks = index.seq.size();
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> rank_arcs(
       nranks);
@@ -545,12 +536,12 @@ graph::CommGraph compute_comm_graph(const SweepData& sweep,
       nranks, "session.comm.arcs", [&](std::size_t ri) {
         std::size_t prev_node = graph::kNoEvent;
         for (const std::size_t i : index.seq[ri]) {
-          const auto it = node_of_event.find(i);
-          if (it == node_of_event.end()) continue;
-          if (prev_node != graph::kNoEvent && prev_node != it->second) {
-            rank_arcs[ri].emplace_back(prev_node, it->second);
+          const std::size_t node = node_of[i];
+          if (node == graph::kNoEvent) continue;
+          if (prev_node != graph::kNoEvent && prev_node != node) {
+            rank_arcs[ri].emplace_back(prev_node, node);
           }
-          prev_node = it->second;
+          prev_node = node;
         }
       });
   std::set<std::pair<std::size_t, std::size_t>> arc_set;

@@ -25,7 +25,7 @@
 ///     captured in the records, so no per-match `event()` lookups),
 ///   * race-candidate gathering (the send pool and wildcard receives),
 ///   * comm-graph node/edge extraction, and
-///   * the per-rank program-order index,
+///   * the per-event index (program order, rank, message partner),
 ///
 /// where the pre-refactor code ran one full scan per consumer.  The
 /// sweep is *monoid-shaped*: per-segment partials concatenate in
@@ -112,9 +112,10 @@ void extend_sweep(SweepData& sweep, const trace::Trace& trace);
 /// never the trace.
 trace::MatchReport compute_match_report(const SweepData& sweep);
 
-/// The shared per-rank program-order index.
+/// The shared per-event index: program order from the sweep, message
+/// partners from the matching.
 std::shared_ptr<const trace::RankIndex> compute_rank_index(
-    const SweepData& sweep);
+    const SweepData& sweep, const trace::MatchReport& report);
 
 /// Traffic accounting from the sweep records and the matching — no
 /// `event()` lookups.  Byte-identical to the pre-refactor

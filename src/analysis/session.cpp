@@ -127,7 +127,7 @@ const trace::RankIndex& Session::rank_index() { return *rank_index_ptr(); }
 
 std::shared_ptr<const trace::RankIndex> Session::rank_index_ptr() {
   return materialize(rank_index_, "session.rank_index",
-                     [&] { return compute_rank_index(sweep()); });
+                     [&] { return compute_rank_index(sweep(), match_report()); });
 }
 
 const causality::CausalOrder& Session::causal_order() {
@@ -185,7 +185,7 @@ const CriticalPath& Session::critical_path() {
 
 const std::vector<IntertwinedPair>& Session::intertwined() {
   return materialize(intertwined_, "session.intertwined", [&] {
-    return find_intertwined(trace_, causal_order());
+    return find_intertwined(causal_order());
   });
 }
 
@@ -222,7 +222,7 @@ std::vector<PassInfo> Session::pass_states() const {
   };
   one("sweep", "-", true, sweep_);
   one("match", "sweep", true, match_);
-  one("rank_index", "sweep", true, rank_index_);
+  one("rank_index", "sweep, match", true, rank_index_);
   one("traffic", "sweep, match", true, traffic_);
   one("comm_graph", "sweep, match, rank_index", true, comm_graph_);
   one("causal_order", "match, rank_index", false, order_);

@@ -28,7 +28,7 @@
 ///
 /// A session owns one `trace::Trace` and a cache of lazily-computed,
 /// memoized **artifacts** over it — the fused sweep, the match report,
-/// the per-rank index, vector clocks, traffic, races, the graphs —
+/// the per-event index, vector clocks, traffic, races, the graphs —
 /// each computed at most once per trace state and handed out by
 /// reference.  The debugger holds one session per trace; the CLI tools
 /// and the HTML view construct one and pull what they need.
@@ -91,7 +91,8 @@ class Session {
   /// Send/receive matching + unmatched remainder (paper §4.4).
   const trace::MatchReport& match_report();
 
-  /// The shared per-rank program-order index.
+  /// The shared per-event index (program order, rank, message
+  /// partner) every pass reads instead of the store.
   const trace::RankIndex& rank_index();
 
   /// Shared handle to the rank index (what `CausalOrder` retains).

@@ -1,12 +1,51 @@
 #include "causality/causal_order.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace tdbg::causality {
+
+void for_each_in_causal_order(const trace::RankIndex& index,
+                              const std::function<void(std::size_t e)>& visit) {
+  const auto& seqs = index.seq;
+  std::vector<std::size_t> next(seqs.size(), 0);
+  // Round-robin over ranks: each advances in program order until it
+  // reaches a receive whose send its own rank's cursor has not passed.
+  std::size_t remaining = index.position.size();
+  while (remaining > 0) {
+    std::size_t advanced = 0;
+    for (std::size_t r = 0; r < seqs.size(); ++r) {
+      auto& pos = next[r];
+      while (pos < seqs[r].size()) {
+        const std::size_t e = seqs[r][pos];
+        const std::size_t send = index.send_of[e];
+        if (send != trace::kNoEvent &&
+            next[static_cast<std::size_t>(index.rank[send])] <=
+                index.position[send]) {
+          break;  // wait for the send
+        }
+        visit(e);
+        ++pos;
+        ++advanced;
+      }
+    }
+    if (advanced == 0) {
+      std::string stuck;
+      for (std::size_t r = 0; r < seqs.size(); ++r) {
+        if (next[r] == seqs[r].size()) continue;
+        stuck += (stuck.empty() ? "" : ", ") + std::to_string(r);
+      }
+      throw FormatError("cyclic message dependency in trace: rank(s) " +
+                        stuck +
+                        " wait on receives whose sends can never happen "
+                        "(corrupt trace file?)");
+    }
+    remaining -= advanced;
+  }
+}
 
 CausalOrder::CausalOrder(const trace::Trace& trace, trace::MatchReport matches,
                          std::shared_ptr<const trace::RankIndex> index)
@@ -16,54 +55,21 @@ CausalOrder::CausalOrder(const trace::Trace& trace, trace::MatchReport matches,
       obs::MetricsRegistry::global().histogram("analysis.causal_order_ns",
                                                obs::Unit::kNanoseconds),
       /*rank=*/-1);
-  const auto n = trace.size();
   const auto ranks = static_cast<std::size_t>(trace.num_ranks());
-  clocks_.assign(n, {});
-
-  // Map receive event -> matched send event.
-  std::unordered_map<std::size_t, std::size_t> send_of_recv;
-  send_of_recv.reserve(matches_.matches.size());
-  for (const auto& m : matches_.matches) {
-    send_of_recv.emplace(m.recv_index, m.send_index);
-  }
-
-  // Propagate clocks in dependency order.  Each rank's events are
-  // processed in program order; a receive additionally waits for its
-  // matched send.  Round-robin over ranks until everything is done —
-  // progress is guaranteed because the trace comes from a real
-  // execution, whose message edges cannot form a cycle with program
-  // order.
-  std::vector<std::size_t> next(ranks, 0);
-  std::size_t done = 0;
-  bool progressed = true;
-  while (done < n) {
-    TDBG_CHECK(progressed,
-               "cyclic message dependency in trace (corrupt trace file?)");
-    progressed = false;
-    for (std::size_t r = 0; r < ranks; ++r) {
-      const auto& seq = seqs()[r];
-      while (next[r] < seq.size()) {
-        const std::size_t e = seq[next[r]];
-        const auto it = send_of_recv.find(e);
-        const bool needs_send = it != send_of_recv.end();
-        if (needs_send && clocks_[it->second].empty()) break;  // wait for send
-
-        std::vector<std::uint32_t> vc(ranks, 0);
-        if (next[r] > 0) vc = clocks_[seq[next[r] - 1]];
-        if (needs_send) {
-          const auto& sc = clocks_[it->second];
-          for (std::size_t q = 0; q < ranks; ++q) {
-            vc[q] = std::max(vc[q], sc[q]);
-          }
-        }
-        vc[r] = static_cast<std::uint32_t>(next[r] + 1);
-        clocks_[e] = std::move(vc);
-        ++next[r];
-        ++done;
-        progressed = true;
-      }
+  clocks_.assign(trace.size(), {});
+  for_each_in_causal_order(*index_, [&](std::size_t e) {
+    const std::size_t r = rank_of(e);
+    const std::size_t pos = pos_of(e);
+    std::vector<std::uint32_t> vc(ranks, 0);
+    if (pos > 0) vc = clocks_[seqs()[r][pos - 1]];
+    if (const std::size_t send = index_->send_of[e];
+        send != trace::kNoEvent) {
+      const auto& sc = clocks_[send];
+      for (std::size_t q = 0; q < ranks; ++q) vc[q] = std::max(vc[q], sc[q]);
     }
-  }
+    vc[r] = static_cast<std::uint32_t>(pos + 1);
+    clocks_[e] = std::move(vc);
+  });
 }
 
 const std::vector<std::uint32_t>& CausalOrder::clock(std::size_t e) const {
@@ -76,9 +82,8 @@ std::size_t CausalOrder::position(std::size_t e) const {
 
 bool CausalOrder::happens_before(std::size_t a, std::size_t b) const {
   if (a == b) return false;
-  const auto ra = static_cast<std::size_t>(trace_->event(a).rank);
   // a happens before b iff b's clock has seen a's position on a's rank.
-  return clocks_.at(b)[ra] >= pos_of(a) + 1;
+  return clocks_.at(b)[rank_of(a)] >= pos_of(a) + 1;
 }
 
 bool CausalOrder::concurrent(std::size_t a, std::size_t b) const {
@@ -89,7 +94,7 @@ Frontier CausalOrder::past_frontier(std::size_t e) const {
   const auto ranks = static_cast<std::size_t>(trace_->num_ranks());
   const auto& vc = clocks_.at(e);
   Frontier frontier(ranks);
-  const auto re = static_cast<std::size_t>(trace_->event(e).rank);
+  const auto re = rank_of(e);
   for (std::size_t r = 0; r < ranks; ++r) {
     // Events of r in the strict past: vc[r] of them, except on e's own
     // rank where vc counts e itself.
@@ -104,7 +109,7 @@ Frontier CausalOrder::past_frontier(std::size_t e) const {
 Frontier CausalOrder::future_frontier(std::size_t e) const {
   const auto ranks = static_cast<std::size_t>(trace_->num_ranks());
   Frontier frontier(ranks);
-  const auto re = static_cast<std::size_t>(trace_->event(e).rank);
+  const auto re = rank_of(e);
   const auto threshold = static_cast<std::uint32_t>(pos_of(e) + 1);
   for (std::size_t r = 0; r < ranks; ++r) {
     const auto& seq = seqs()[r];
@@ -162,15 +167,10 @@ std::vector<std::size_t> CausalOrder::concurrency_region(std::size_t e) const {
 }
 
 Cut CausalOrder::past_frontier_cut(std::size_t e) const {
-  const auto ranks = static_cast<std::size_t>(trace_->num_ranks());
   const auto& vc = clocks_.at(e);
   Cut cut;
-  cut.prefix_len.assign(ranks, 0);
-  const auto re = static_cast<std::size_t>(trace_->event(e).rank);
-  for (std::size_t r = 0; r < ranks; ++r) {
-    cut.prefix_len[r] = vc[r];
-  }
-  cut.prefix_len[re] = pos_of(e);  // stop right before executing e
+  cut.prefix_len.assign(vc.begin(), vc.end());
+  cut.prefix_len[rank_of(e)] = pos_of(e);  // stop right before executing e
   return cut;
 }
 
@@ -184,19 +184,17 @@ Cut CausalOrder::future_frontier_cut(std::size_t e) const {
     cut.prefix_len[r] =
         frontier[r] ? pos_of(*frontier[r]) : seqs()[r].size();
   }
-  const auto re = static_cast<std::size_t>(trace_->event(e).rank);
-  cut.prefix_len[re] = pos_of(e) + 1;  // e itself has executed
+  cut.prefix_len[rank_of(e)] = pos_of(e) + 1;  // e itself has executed
   return cut;
 }
 
-bool is_consistent(const trace::Trace& trace, const trace::MatchReport& report,
+bool is_consistent(const trace::MatchReport& report,
                    const trace::RankIndex& index, const Cut& cut) {
-  TDBG_CHECK(cut.prefix_len.size() == static_cast<std::size_t>(trace.num_ranks()),
+  TDBG_CHECK(cut.prefix_len.size() == index.seq.size(),
              "cut rank count mismatch");
-  const auto& pos = index.position;
   const auto inside = [&](std::size_t e) {
-    return pos[e] <
-           cut.prefix_len[static_cast<std::size_t>(trace.event(e).rank)];
+    return index.position[e] <
+           cut.prefix_len[static_cast<std::size_t>(index.rank[e])];
   };
   for (const auto& m : report.matches) {
     if (inside(m.recv_index) && !inside(m.send_index)) return false;
@@ -221,8 +219,7 @@ Cut cut_at_time(const trace::Trace& trace, support::TimeNs t) {
   return cut;
 }
 
-std::size_t restrict_to_consistent(const trace::Trace& trace,
-                                   const trace::MatchReport& report,
+std::size_t restrict_to_consistent(const trace::MatchReport& report,
                                    const trace::RankIndex& index, Cut& cut) {
   const auto& pos = index.position;
   std::size_t dropped = 0;
@@ -230,8 +227,8 @@ std::size_t restrict_to_consistent(const trace::Trace& trace,
   while (changed) {
     changed = false;
     for (const auto& m : report.matches) {
-      const auto rr = static_cast<std::size_t>(trace.event(m.recv_index).rank);
-      const auto sr = static_cast<std::size_t>(trace.event(m.send_index).rank);
+      const auto rr = static_cast<std::size_t>(index.rank[m.recv_index]);
+      const auto sr = static_cast<std::size_t>(index.rank[m.send_index]);
       const bool recv_inside = pos[m.recv_index] < cut.prefix_len[rr];
       const bool send_inside = pos[m.send_index] < cut.prefix_len[sr];
       if (recv_inside && !send_inside) {
@@ -242,20 +239,6 @@ std::size_t restrict_to_consistent(const trace::Trace& trace,
     }
   }
   return dropped;
-}
-
-std::vector<std::optional<std::uint64_t>> cut_thresholds(
-    const trace::Trace& trace, const Cut& cut) {
-  std::vector<std::optional<std::uint64_t>> thresholds(
-      static_cast<std::size_t>(trace.num_ranks()));
-  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-    const auto len = cut.prefix_len[static_cast<std::size_t>(r)];
-    if (len < trace.rank_size(r)) {
-      thresholds[static_cast<std::size_t>(r)] =
-          trace.event(trace.rank_event(r, len)).marker;
-    }
-  }
-  return thresholds;
 }
 
 }  // namespace tdbg::causality

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -22,7 +21,7 @@
 namespace tdbg::graph {
 
 /// Sentinel event index for the missing half of an unmatched message.
-inline constexpr std::size_t kNoEvent = std::numeric_limits<std::size_t>::max();
+using trace::kNoEvent;
 
 /// One message (or half of one, when unmatched).
 struct MessageNode {

@@ -4,8 +4,17 @@ namespace tdbg::replay {
 
 Stopline stopline_from_cut(const trace::Trace& trace,
                            const causality::Cut& cut) {
+  // Each rank stops right before its first event outside the cut; a
+  // rank whose whole history is inside runs to completion.
   Stopline line;
-  line.thresholds = causality::cut_thresholds(trace, cut);
+  line.thresholds.resize(static_cast<std::size_t>(trace.num_ranks()));
+  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
+    const auto len = cut.prefix_len[static_cast<std::size_t>(r)];
+    if (len < trace.rank_size(r)) {
+      line.thresholds[static_cast<std::size_t>(r)] =
+          trace.event(trace.rank_event(r, len)).marker;
+    }
+  }
   return line;
 }
 
@@ -13,7 +22,7 @@ Stopline stopline_at_time(const trace::Trace& trace,
                           const trace::MatchReport& report,
                           const trace::RankIndex& index, support::TimeNs t) {
   auto cut = causality::cut_at_time(trace, t);
-  causality::restrict_to_consistent(trace, report, index, cut);
+  causality::restrict_to_consistent(report, index, cut);
   return stopline_from_cut(trace, cut);
 }
 

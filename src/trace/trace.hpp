@@ -32,18 +32,30 @@ struct MatchReport {
   std::vector<std::size_t> unmatched_recvs;  ///< received with no send record
 };
 
-/// Per-rank program-order index over the whole trace, the shared
-/// artifact that replaces the three hand-rolled builders causality,
-/// races, and the action graph used to carry.  Built (and kept fresh
-/// incrementally) by `analysis::Session::rank_index()`; defined here so
-/// the causality and graph layers can consume it by reference.
+/// "No such event": the `send_of` / `recv_of` entry of an event with no
+/// message partner.
+inline constexpr std::size_t kNoEvent = static_cast<std::size_t>(-1);
+
+/// Dense per-event index over the whole trace — each event's rank,
+/// program-order position, and message partner — the one substrate
+/// every analysis pass reads instead of the store.  Built (and kept
+/// fresh incrementally) by `analysis::Session::rank_index()`; defined
+/// here so the causality and graph layers can consume it by reference.
 struct RankIndex {
   /// `seq[r][k]` = global display index of rank r's k-th event in
   /// program order (marker order, per the store contract).
   std::vector<std::vector<std::size_t>> seq;
-  /// `position[i]` = program-order position of display index i within
-  /// its own rank (the inverse of `seq`).
+  /// The per-event arrays below are indexed by display index.
+  /// `position[i]` = program-order position of i within its own rank
+  /// (the inverse of `seq`).
   std::vector<std::size_t> position;
+  /// `rank[i]` = the rank that recorded event i.
+  std::vector<mpi::Rank> rank;
+  /// `send_of[i]` = the send a matched receive i consumed, else kNoEvent.
+  std::vector<std::size_t> send_of;
+  /// `recv_of[i]` = the receive that consumed matched send i, else
+  /// kNoEvent.
+  std::vector<std::size_t> recv_of;
 };
 
 /// An immutable execution history: the merged event stream of one run.

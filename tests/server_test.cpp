@@ -618,6 +618,44 @@ TEST(ServerTest, GarbageBytesGetBadRequestNotCrash) {
   srv.wait();
 }
 
+TEST(ServerTest, CyclicTraceRacesGetBadRequest) {
+  TempDir dir("cycle");
+  // Each rank receives before it sends to the other: the matched
+  // messages form a cycle with program order, so no causal order
+  // exists — a malformed file, not a server fault.
+  const auto make = [](trace::EventKind kind, mpi::Rank rank,
+                       std::uint64_t marker, mpi::Rank peer) {
+    trace::Event e;
+    e.kind = kind;
+    e.rank = rank;
+    e.marker = marker;
+    e.t_start = static_cast<support::TimeNs>(10 * (2 * marker + rank));
+    e.t_end = e.t_start + 5;
+    e.peer = peer;
+    return e;
+  };
+  const auto path = dir.file("cycle.trc");
+  trace::write_trace(
+      path, trace::Trace(2,
+                         {make(trace::EventKind::kRecv, 0, 1, 1),
+                          make(trace::EventKind::kRecv, 1, 1, 0),
+                          make(trace::EventKind::kSend, 0, 2, 1),
+                          make(trace::EventKind::kSend, 1, 2, 0)},
+                         nullptr));
+
+  ServerOptions options;
+  options.unix_path = dir.file("s.sock");
+  Server srv(options);
+  srv.start();
+  {
+    Client client("unix:" + options.unix_path);
+    const auto response = client.call(Op::kRaces, encode_trace_arg(path));
+    EXPECT_EQ(response.status, Status::kBadRequest);
+  }
+  srv.shutdown();
+  srv.wait();
+}
+
 // --- stress (also run under TSan / ASan via scripts/verify.sh) -------------
 
 TEST(ServerStressTest, EightClientsMixedOpsTwoTraces) {

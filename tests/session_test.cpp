@@ -4,12 +4,17 @@
 //   * update() invalidation — stale artifacts refresh after growth,
 //   * incremental recompute byte-identical to a from-scratch session,
 //   * fused-sweep results equal the legacy per-pass algorithms on the
-//     storm and deadlock_ring workloads at 1 and 8 threads.
+//     storm and deadlock_ring workloads at 1 and 8 threads,
+//   * once the causal order is built, the passes that read it never
+//     touch the trace store again.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <filesystem>
 #include <map>
 #include <utility>
 #include <vector>
@@ -22,7 +27,9 @@
 #include "replay/record.hpp"
 #include "support/executor.hpp"
 #include "support/rng.hpp"
+#include "trace/store.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_io.hpp"
 
 namespace tdbg {
 namespace {
@@ -239,6 +246,30 @@ std::vector<LegacyRankTotals> legacy_rank_totals(
   return totals;
 }
 
+/// The per-event arrays of the shared index: `rank` agrees with the
+/// store, and `send_of` / `recv_of` are exactly the report's matches,
+/// inverted (one entry per match on each side, kNoEvent elsewhere).
+void expect_index_matches_trace(const trace::Trace& trace,
+                                const trace::RankIndex& index,
+                                const trace::MatchReport& report) {
+  ASSERT_EQ(index.rank.size(), trace.size());
+  ASSERT_EQ(index.send_of.size(), trace.size());
+  ASSERT_EQ(index.recv_of.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(index.rank[i], trace.event(i).rank) << "event " << i;
+  }
+  for (const auto& m : report.matches) {
+    EXPECT_EQ(index.send_of[m.recv_index], m.send_index);
+    EXPECT_EQ(index.recv_of[m.send_index], m.recv_index);
+  }
+  const auto partnered = [](const std::vector<std::size_t>& v) {
+    return static_cast<std::size_t>(std::count_if(
+        v.begin(), v.end(), [](std::size_t e) { return e != trace::kNoEvent; }));
+  };
+  EXPECT_EQ(partnered(index.send_of), report.matches.size());
+  EXPECT_EQ(partnered(index.recv_of), report.matches.size());
+}
+
 /// Full fused-vs-legacy comparison for one trace at one thread count.
 void expect_fused_equals_legacy(const trace::Trace& trace,
                                 std::size_t threads) {
@@ -257,6 +288,7 @@ void expect_fused_equals_legacy(const trace::Trace& trace,
     EXPECT_EQ(index.seq[static_cast<std::size_t>(r)], trace.rank_events(r))
         << "rank " << r;
   }
+  expect_index_matches_trace(trace, index, report);
 
   // Traffic: sweep-record accounting == per-match event() lookups.
   const auto& traffic = session.traffic();
@@ -280,6 +312,10 @@ void expect_sessions_identical(analysis::Session& a, analysis::Session& b) {
   expect_match_reports_equal(a.match_report(), b.match_report());
   EXPECT_EQ(a.rank_index().seq, b.rank_index().seq);
   EXPECT_EQ(a.rank_index().position, b.rank_index().position);
+  EXPECT_EQ(a.rank_index().rank, b.rank_index().rank);
+  EXPECT_EQ(a.rank_index().send_of, b.rank_index().send_of);
+  EXPECT_EQ(a.rank_index().recv_of, b.rank_index().recv_of);
+  expect_index_matches_trace(a.trace(), a.rank_index(), a.match_report());
   EXPECT_EQ(a.traffic().to_string(), b.traffic().to_string());
   EXPECT_EQ(graph::to_dot(a.comm_graph().to_export()),
             graph::to_dot(b.comm_graph().to_export()));
@@ -400,6 +436,50 @@ TEST(SessionTest, IncrementalIdenticalToFromScratch) {
   live.update(trace::Trace(kRanks, events, nullptr));
   analysis::Session full(trace::Trace(kRanks, events, nullptr));
   expect_sessions_identical(live, full);
+}
+
+// --- passes read the index, never the store --------------------------------
+
+TEST(SessionTest, PassesAfterCausalOrderNeverTouchTheStore) {
+  constexpr int kRanks = 5;
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tdbg_session_test_" + std::to_string(::getpid()) +
+                     ".trc");
+  struct RemoveOnExit {
+    std::filesystem::path path;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } cleanup{path};
+  trace::write_trace(path,
+                     trace::Trace(kRanks, synth_events(2000, kRanks, 99),
+                                  nullptr),
+                     trace::TraceFormat::kBinaryV3, /*segment_events=*/256);
+  trace::TraceOpenOptions options;
+  options.cache_segments = 2;
+  options.prefetch = false;
+  const auto lazy = trace::open_trace(path, options);
+  const auto* store =
+      dynamic_cast<const trace::SegmentedTraceStore*>(lazy.store().get());
+  ASSERT_NE(store, nullptr);
+  ASSERT_GT(lazy.segment_count(), options.cache_segments);
+
+  analysis::Session session(lazy);
+  const auto& order = session.causal_order();
+  const auto before = store->cache_stats();
+
+  EXPECT_TRUE(session.races().racy());
+  (void)session.intertwined();
+  const std::size_t n = lazy.size();
+  for (std::size_t x = 0; x < n; x += 37) {
+    (void)order.past_frontier_cut(x);
+    for (std::size_t y = 0; y < n; y += 41) (void)order.happens_before(x, y);
+  }
+
+  const auto after = store->cache_stats();
+  EXPECT_EQ(after.loads, before.loads);
+  EXPECT_EQ(after.hits, before.hits);
 }
 
 // --- fused == legacy per-pass ----------------------------------------------
