@@ -1,7 +1,7 @@
 // Figure 5 — "Process 0 (at the bottom) and process 7 (at the top) are
 // blocked in receives waiting for data from each other."
 //
-// Regenerates the failure: runs the buggy Strassen, lets the watchdog
+// Regenerates the failure: runs the buggy Strassen, lets the runtime
 // unwind the deadlock, verifies the 0<->7 circular wait, and renders
 // the trace up to the hang.
 
@@ -27,7 +27,7 @@ int main() {
 
   std::printf("run outcome      : %s\n",
               rec.result.deadlocked ? "deadlock detected" : "UNEXPECTED");
-  std::printf("watchdog detail  : %s\n", rec.result.abort_detail.c_str());
+  std::printf("abort detail     : %s\n", rec.result.abort_detail.c_str());
 
   const auto report = analysis::explain_deadlock(rec.result.final_waits);
   std::printf("analysis         : %s\n", report.description.c_str());

@@ -24,7 +24,7 @@ int main() {
       comm.send(std::span<const std::byte>(), right, 0);
     });
     const auto& result = debugger.record();
-    std::cout << "watchdog: " << result.abort_detail << "\n";
+    std::cout << "runtime: " << result.abort_detail << "\n";
     const auto report = debugger.deadlock_report();
     std::cout << "analysis: " << report.description << "\n";
     std::cout << "cycle length: " << report.cycle.size() << "\n\n";

@@ -3,7 +3,7 @@
 // deadlocks ranks 0 and 7.
 //
 // The session follows §4.1 of the paper:
-//   1. the buggy program hangs; the watchdog unwinds it and we get a
+//   1. the buggy program hangs; the runtime unwinds it and we get a
 //      trace to the point of the failure;
 //   2. the time-space diagram and traffic analysis show rank 7
 //      received one message where its peers received two, and one
@@ -61,7 +61,7 @@ int main() {
   std::cout << "\n=== 2. the buggy program hangs (Fig. 5) ===\n";
   dbg::Debugger debugger(8, strassen(true));
   const auto& result = debugger.record();
-  std::cout << "watchdog: " << result.abort_detail << "\n";
+  std::cout << "runtime: " << result.abort_detail << "\n";
   const auto deadlock = debugger.deadlock_report();
   std::cout << "analysis: " << deadlock.description << "\n";
   save("strassen_buggy.svg", debugger.diagram().to_svg());

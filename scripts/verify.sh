@@ -20,19 +20,22 @@
 #                reader/dispatcher threads, the session cache, and the
 #                8-client stress test
 #   asan-ubsan   -DTDBG_ASAN=ON                    — Address+UB sanitizers;
-#                runs the store/query-heavy suites
-#                (ctest -L "trace|analysis|viz|fault|telemetry|exec|session|server")
+#                runs the store/query-heavy suites and the runtime
+#                (ctest -L "mpi|trace|analysis|viz|fault|telemetry|exec|session|server")
 #                and must report zero memory or UB findings (payload
 #                corruption and held-message buffers live here; the
 #                session label adds the AnalysisSession invalidation
 #                and incremental-recompute contract; server adds the
-#                wire codec's malformed-frame handling)
+#                wire codec's malformed-frame handling; mpi adds the wait
+#                ledger, the channel-FIFO and oversubscription tests and
+#                the replay suite)
 #
 # Extras under metrics-on:
 #   - grep gate           (matching / vector-clock computation confined
 #                          to src/analysis; everything else consumes
 #                          Session artifacts; no unordered_map/_set in
-#                          src/analysis or src/causality)
+#                          src/analysis or src/causality; no sleep_for/
+#                          sleep_until in src/mpi or src/replay)
 #   - ctest -L obs        (the obs label must select the obs suite)
 #   - abl_pass_fusion     (asserts fused-sweep ≥2x cpu-time over the
 #                          N-scan baseline and incremental ≥10x over
@@ -97,7 +100,7 @@ cmake --build "$asan_bdir" -j "$jobs"
 (cd "$asan_bdir" && \
  ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
  UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
- ctest -L 'trace|analysis|viz|fault|telemetry|exec|session|server' --output-on-failure -j "$jobs")
+ ctest -L 'mpi|trace|analysis|viz|fault|telemetry|exec|session|server' --output-on-failure -j "$jobs")
 
 bdir="$repo/build-verify-metrics-on"
 
@@ -123,6 +126,17 @@ hashed="$(grep -rnE 'unordered_(map|set)' "$repo/src/analysis" "$repo/src/causal
 if [[ -n "$hashed" ]]; then
   echo "FAIL: hash containers in src/analysis or src/causality:" >&2
   echo "$hashed" >&2
+  exit 1
+fi
+# Runtime and replay progress decisions are made on the wait ledger's
+# events (a woken rank is marked running before it is woken), never by
+# sleeping and re-polling.  Injected delays live in src/fault and
+# src/server, outside this gate.
+sleeps="$(grep -rnE 'sleep_(for|until)' "$repo/src/mpi" "$repo/src/replay" \
+          --include='*.cpp' --include='*.hpp' || true)"
+if [[ -n "$sleeps" ]]; then
+  echo "FAIL: sleep-and-poll in src/mpi or src/replay:" >&2
+  echo "$sleeps" >&2
   exit 1
 fi
 echo "grep gate OK"

@@ -10,7 +10,7 @@
 /// Deadlock explanation (paper §4.4: "the debugger is also able to
 /// detect deadlocks due to circular dependency in sends or receives").
 ///
-/// The runtime's watchdog *detects* that a run is globally stuck; this
+/// The runtime *detects* that a run is globally stuck; this
 /// module *explains* it: it builds the wait-for graph from the final
 /// wait snapshot, finds the circular dependency, and names the ranks
 /// involved — turning Figure 5's picture ("processes 0 and 7 are

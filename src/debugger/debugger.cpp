@@ -167,12 +167,14 @@ std::vector<replay::StopInfo> Debugger::replay_to(
 
 std::optional<replay::StopInfo> Debugger::step(mpi::Rank rank) {
   TDBG_CHECK(active_ != nullptr, "no active replay");
+  telemetry::Span span("debugger.step");
   undo_stack_.push_back(current_markers());
   return active_->step(rank);
 }
 
 std::optional<replay::StopInfo> Debugger::step_over(mpi::Rank rank) {
   TDBG_CHECK(active_ != nullptr, "no active replay");
+  telemetry::Span span("debugger.step_over");
   const auto stop = active_->control().stopped_at(rank);
   TDBG_CHECK(stop.has_value(), "step_over needs a stopped rank");
   undo_stack_.push_back(current_markers());
@@ -212,12 +214,14 @@ void Debugger::break_on_message(mpi::Rank rank,
 
 std::optional<replay::StopInfo> Debugger::continue_rank(mpi::Rank rank) {
   TDBG_CHECK(active_ != nullptr, "no active replay");
+  telemetry::Span span("debugger.continue");
   undo_stack_.push_back(current_markers());
   return active_->continue_rank(rank);
 }
 
 std::optional<std::vector<replay::StopInfo>> Debugger::undo() {
   if (undo_stack_.empty()) return std::nullopt;
+  telemetry::Span span("debugger.undo");
   const auto target = undo_stack_.back();
   undo_stack_.pop_back();
 

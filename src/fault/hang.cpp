@@ -14,6 +14,7 @@ std::string_view wait_kind_name(mpi::WaitKind kind) {
     case mpi::WaitKind::kNone: return "running";
     case mpi::WaitKind::kRecv: return "blocked in recv";
     case mpi::WaitKind::kSsend: return "blocked in ssend";
+    case mpi::WaitKind::kParked: return "parked at a breakpoint";
     case mpi::WaitKind::kFinished: return "finished";
   }
   return "?";
@@ -57,7 +58,7 @@ HangDiagnosis diagnose_hang(const mpi::RunResult& result,
 
   // A hung run auto-dumps the flight recorder: the last records name
   // the injected hold ("fault.hold"), any stalled-rank warnings, and
-  // the watchdog's deadlock verdict — the chain of evidence in one
+  // the runtime's deadlock verdict — the chain of evidence in one
   // place.
   if (diag.hung) {
     diag.flight_log =

@@ -1,7 +1,6 @@
 #include "mpi/comm.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "mpi/world.hpp"
@@ -33,24 +32,6 @@ namespace {
 /// Reserved tag space for collective rounds: disjoint from user tags
 /// so collective traffic can never match a user receive.
 constexpr Tag kCollectiveTagBase = kMaxUserTag + 1;
-
-/// RAII wrapper so a wait registration is undone even if the wait
-/// throws `Aborted`.
-class WaitScope {
- public:
-  WaitScope(WaitRegistry& reg, Rank rank, WaitKind kind, Rank peer, Tag tag)
-      : reg_(reg), rank_(rank) {
-    reg_.enter_wait(rank_, kind, peer, tag);
-  }
-  ~WaitScope() { reg_.exit_wait(rank_); }
-
-  WaitScope(const WaitScope&) = delete;
-  WaitScope& operator=(const WaitScope&) = delete;
-
- private:
-  WaitRegistry& reg_;
-  Rank rank_;
-};
 
 void check_user_tag(Tag tag) {
   TDBG_CHECK(tag == kAnyTag || (tag >= 0 && tag <= kMaxUserTag),
@@ -138,17 +119,17 @@ void Comm::pmpi_ssend(std::span<const std::byte> data, Rank dest, Tag tag) {
     std::this_thread::yield();
     if (slot.load(std::memory_order_acquire) >= ticket) return;
   }
-  // Slow path: poll with backoff.  The abort flag is checked each
-  // round so a deadlocked ssend can be unwound by the watchdog.
-  WaitScope ws(world_->shared().registry, rank_, WaitKind::kSsend, dest, tag);
-  auto delay = std::chrono::microseconds(10);
-  while (slot.load(std::memory_order_acquire) < ticket) {
-    if (world_->shared().aborted.load(std::memory_order_acquire)) {
-      throw Aborted{};
-    }
-    std::this_thread::sleep_for(delay);
-    if (delay < std::chrono::microseconds(500)) delay *= 2;
+  // Slow path: sleep in the registry until the matching receive wakes
+  // this rank (or an abort does).  The slot is re-checked under the
+  // registry lock, which the receiver takes only after storing the
+  // ticket, so a match cannot slip in between check and wait.
+  MailboxShared& shared = world_->shared();
+  if (shared.registry.enter_ssend(rank_, dest, tag, slot, ticket)) {
+    world_->declare_deadlock();
   }
+  shared.registry.await_ssend(rank_, shared.aborted);
+  shared.registry.exit_wait(rank_);
+  if (slot.load(std::memory_order_acquire) < ticket) throw Aborted{};
 }
 
 Status Comm::pmpi_recv(std::vector<std::byte>& out, Rank source, Tag tag) {

@@ -38,7 +38,7 @@ MailboxMetrics& mailbox_metrics() {
 /// dirty mask for a few microseconds, because rendezvous with an
 /// imminent sender is far cheaper caught spinning than through a
 /// futex sleep/wake.  Bounded, so a genuinely idle rank still parks
-/// (and the deadlock watchdog still sees it go idle).
+/// (and enters its wait in the registry, where deadlock is decided).
 ///
 /// Two hard-won caveats (see DESIGN.md "Hot paths"):
 ///  * no PAUSE/YIELD instruction in the loop — under virtualization
@@ -105,32 +105,45 @@ void Mailbox::deliver(Message msg) {
     ch.overflow.push_back(std::move(msg));
     ch.overflow_count.fetch_add(1, std::memory_order_release);
   }
-  shared_->progress.fetch_add(1, std::memory_order_relaxed);
 
   // Wakeup protocol (Dekker-style; see class comment): the seq_cst
   // RMW on dirty_ orders the push before the sleeper check, and the
   // receiver's seq_cst sleeper increment orders its publication before
   // its re-drain.  Whichever ordered first is seen by the other side.
+  // The park lock orders the wake after the owner's wait entry; the
+  // owner is marked running before it is notified, so it never counts
+  // as idle while this message is waiting for it.
   dirty_.fetch_or(bit, std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    { std::lock_guard lk(park_mu_); }  // order notify after wait entry
+    {
+      std::lock_guard lk(park_mu_);
+      shared_->registry.wake(owner_, WaitKind::kRecv);
+    }
     cv_.notify_all();
   }
 }
 
 void Mailbox::drain_channel(Channel& ch) {
   const std::size_t before = ch.pending.size();
-  // Ring first: its entries always predate overflow entries.
-  std::uint64_t h = ch.head.load(std::memory_order_relaxed);
-  const std::uint64_t t = ch.tail.load(std::memory_order_acquire);
-  while (h != t) {
-    ch.pending.push_back(std::move(ch.ring[h % kRingCapacity]));
-    ch.pending.back().arrival = arrivals_++;
-    ++h;
-    ch.head.store(h, std::memory_order_release);
-  }
+  const auto drain_ring = [&] {
+    std::uint64_t h = ch.head.load(std::memory_order_relaxed);
+    const std::uint64_t t = ch.tail.load(std::memory_order_acquire);
+    while (h != t) {
+      ch.pending.push_back(std::move(ch.ring[h % kRingCapacity]));
+      ch.pending.back().arrival = arrivals_++;
+      ++h;
+      ch.head.store(h, std::memory_order_release);
+    }
+  };
+  drain_ring();
   if (ch.overflow_count.load(std::memory_order_acquire) > 0) {
     std::lock_guard lk(ch.overflow_mu);
+    // While the ring was drained the producer may have refilled it
+    // past the tail read above and only then spilled.  It spills only
+    // while overflow_count > 0, so every ring entry predates the
+    // overflow: take the ring up to a fresh tail first (channel FIFO,
+    // the non-overtaking rule of §3.2).
+    drain_ring();
     while (!ch.overflow.empty()) {
       Message msg = std::move(ch.overflow.front());
       ch.overflow.pop_front();
@@ -277,7 +290,6 @@ Status Mailbox::consume(const Pick& pick, std::vector<std::byte>& out) {
   if (msg.tag <= kMaxUserTag) {
     queued_user_.fetch_sub(1, std::memory_order_relaxed);
   }
-  shared_->progress.fetch_add(1, std::memory_order_relaxed);
 
   if constexpr (obs::kMetricsEnabled) {
     auto& metrics = mailbox_metrics();
@@ -291,8 +303,11 @@ Status Mailbox::consume(const Pick& pick, std::vector<std::byte>& out) {
   if (msg.synchronous) {
     // Rendezvous completion: the sender's slot outlives the ssend, so
     // no heap-allocated handle is needed (see DESIGN.md "Hot paths").
+    // Store first, then wake: the sender checks the slot under the
+    // registry lock before it enters its wait.
     shared_->ssend_slots[static_cast<std::size_t>(msg.source)]
         .done_seq.store(msg.sync_seq, std::memory_order_release);
+    shared_->registry.wake(msg.source, WaitKind::kSsend);
   }
   return Status{msg.source, msg.tag, out.size(), msg.seq};
 }
@@ -343,12 +358,7 @@ Status Mailbox::receive(Rank source, Tag tag, std::vector<std::byte>& out,
       return consume(*pick, out);
     }
     check_aborted();
-    shared_->registry.enter_wait(owner_, WaitKind::kRecv, source, tag);
-    {
-      telemetry::Span park_span(park_span_site());
-      cv_.wait(lk);
-    }
-    shared_->registry.exit_wait(owner_);
+    sleep(lk, source, tag);
   }
 }
 
@@ -369,10 +379,21 @@ Status Mailbox::probe(Rank source, Tag tag) {
       return Status{m.source, m.tag, m.payload_size(), m.seq};
     }
     check_aborted();
-    shared_->registry.enter_wait(owner_, WaitKind::kRecv, source, tag);
-    cv_.wait(lk);
-    shared_->registry.exit_wait(owner_);
+    sleep(lk, source, tag);
   }
+}
+
+void Mailbox::sleep(std::unique_lock<std::mutex>& lk, Rank source, Tag tag) {
+  if (shared_->registry.enter_wait(owner_, WaitKind::kRecv, source, tag)) {
+    // This wait left every rank idle: declare the deadlock.  That
+    // wakes every mailbox, this one included, so not under its lock.
+    lk.unlock();
+    shared_->declare_deadlock();
+  } else {
+    telemetry::Span park_span(park_span_site());
+    cv_.wait(lk);
+  }
+  shared_->registry.exit_wait(owner_);
 }
 
 std::optional<Status> Mailbox::iprobe(Rank source, Tag tag) {

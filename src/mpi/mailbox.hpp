@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -16,44 +17,48 @@
 
 namespace tdbg::mpi {
 
-/// Thrown in a blocked rank when the run is aborted (deadlock detected
-/// by the watchdog, or another rank failed).  The runtime catches it
-/// at the top of the rank body; application code should not.
+/// Thrown in a blocked rank when the run is aborted (deadlock, or
+/// another rank failed).  The runtime catches it at the top of the
+/// rank body; application code should not.
 class Aborted : public std::exception {
  public:
   const char* what() const noexcept override { return "tdbg::mpi run aborted"; }
 };
 
 /// One rank's ssend rendezvous slot: receivers store the sender's
-/// rendezvous ticket here when they match a synchronous message.  The
-/// slot outlives any individual ssend (it is owned by the world), so
-/// the sender needs no heap-allocated completion handle — the blocked
-/// `pmpi_ssend` just waits for `done_seq` to reach its ticket.
-/// Padded so neighbouring ranks' slots don't share a cache line.
+/// rendezvous ticket here when they match a synchronous message, then
+/// wake the sender through the wait registry.  The slot outlives any
+/// individual ssend (it is owned by the world), so the sender needs no
+/// heap-allocated completion handle.  Padded so neighbouring ranks'
+/// slots don't share a cache line.
 struct alignas(64) SsendSlot {
   std::atomic<std::uint64_t> done_seq{0};
 };
 
-/// Shared world state the mailboxes need: abort flag, progress
-/// counter, ssend rendezvous slots, and the wait registry.  Owned by
-/// the runtime.
+/// Shared world state the mailboxes need: abort flag, wait registry,
+/// ssend rendezvous slots, and the deadlock handler.  Owned by the
+/// world.
 struct MailboxShared {
   explicit MailboxShared(int world_size)
       : registry(world_size),
         ssend_slots(static_cast<std::size_t>(world_size)) {}
 
   std::atomic<bool> aborted{false};
-  std::atomic<std::uint64_t> progress{0};  ///< delivers + matches, for the watchdog
   WaitRegistry registry;
   std::vector<SsendSlot> ssend_slots;  ///< indexed by *sender* rank
+
+  /// Aborts the run as deadlocked; called by whichever rank's
+  /// transition the registry reports as the deadlock verdict.
+  std::function<void()> declare_deadlock;
 };
 
 /// Per-rank incoming-message store implementing MPI matching rules.
 ///
 /// Transport is one SPSC channel per source rank: a bounded lock-free
 /// ring for the fast path with a mutex-protected overflow deque behind
-/// it, so eager sends never block (the alltoall send phase and the
-/// deadlock watchdog both rely on that).  The owning rank drains
+/// it, so eager sends never block (the alltoall send phase relies on
+/// that, and so does the deadlock verdict: a message is never in
+/// flight outside a mailbox).  The owning rank drains
 /// channels into private per-channel `pending` deques — the only place
 /// matching and removal happen — guided by an atomic dirty-channel
 /// bitmask so a drain touches only channels with new traffic.
@@ -72,10 +77,12 @@ struct MailboxShared {
 ///
 /// Blocking uses a park/notify protocol instead of holding a lock:
 /// the receiver publishes a sleeper count (seq_cst), re-drains, and
-/// only then waits on the condition variable; senders push, fence, and
-/// notify only when a sleeper is visible.  Either the receiver's
-/// re-drain sees the push or the sender sees the sleeper — a lost
-/// wakeup would require both seq_cst orderings to fail.
+/// only then enters its wait in the registry and sleeps on the
+/// condition variable; senders push, fence, and — only when a sleeper
+/// is visible — mark the owner running in the registry under the
+/// park lock before notifying.  Either the receiver's re-drain sees
+/// the push or the sender sees the sleeper — a lost wakeup would
+/// require both seq_cst orderings to fail.
 class Mailbox {
  public:
   Mailbox(Rank owner, int world_size, MailboxShared* shared);
@@ -173,6 +180,11 @@ class Mailbox {
 
   /// Bounded busy-wait for new transport traffic; true if any arrived.
   bool spin_for_traffic() const;
+
+  /// Enters the registry wait and sleeps until a delivery or abort
+  /// (or declares the deadlock this wait completes).  `lk` holds
+  /// `park_mu_` with the sleeper count published and nothing matched.
+  void sleep(std::unique_lock<std::mutex>& lk, Rank source, Tag tag);
 
   const Message& picked(const Pick& pick) const;
 

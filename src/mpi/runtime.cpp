@@ -1,9 +1,6 @@
 #include "mpi/runtime.hpp"
 
-#include <atomic>
 #include <exception>
-#include <optional>
-#include <sstream>
 #include <thread>
 
 #include "support/clock.hpp"
@@ -31,94 +28,6 @@ class RankScope {
   }
 };
 
-std::string describe_waits(const std::vector<WaitInfo>& waits) {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& w : waits) {
-    if (w.kind == WaitKind::kNone || w.kind == WaitKind::kFinished) continue;
-    if (!first) os << "; ";
-    first = false;
-    os << "rank " << w.rank
-       << (w.kind == WaitKind::kRecv ? " blocked in recv(src=" :
-                                       " blocked in ssend(dst=");
-    if (w.peer == kAnySource) {
-      os << "ANY";
-    } else {
-      os << w.peer;
-    }
-    os << ", tag=";
-    if (w.tag == kAnyTag) {
-      os << "ANY";
-    } else {
-      os << w.tag;
-    }
-    os << ")";
-  }
-  return os.str();
-}
-
-/// Watches for stable global quiescence: every rank waiting or
-/// finished, and no mailbox progress between two consecutive samples.
-/// With eager sends there are no messages in flight outside mailbox
-/// queues, so a stable all-idle world can never make progress again.
-class Watchdog {
- public:
-  Watchdog(World& world, std::chrono::milliseconds interval)
-      : world_(world), interval_(interval),
-        thread_([this] { loop(); }) {}
-
-  ~Watchdog() {
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
-  }
-
- private:
-  void loop() {
-    // A rank that has been notified but not yet scheduled still shows
-    // as waiting, so on an oversubscribed host a single stable sample
-    // is not proof of deadlock.  Require several consecutive stable
-    // all-idle samples before aborting; a real deadlock is stable
-    // forever, so this only delays detection by (kStableSamples-1)
-    // intervals.
-    static constexpr int kStableSamples = 3;
-    int stable = 0;
-    std::uint64_t last_progress = 0;
-    while (!stop_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(interval_);
-      if (world_.shared().aborted.load(std::memory_order_acquire)) return;
-
-      const std::uint64_t progress =
-          world_.shared().progress.load(std::memory_order_relaxed);
-      const auto waits = world_.shared().registry.snapshot();
-      bool all_idle = true;
-      bool any_blocked = false;
-      for (const auto& w : waits) {
-        if (w.kind == WaitKind::kNone) all_idle = false;
-        if (w.kind == WaitKind::kRecv || w.kind == WaitKind::kSsend) {
-          any_blocked = true;
-        }
-      }
-      if (all_idle && any_blocked && progress == last_progress) {
-        if (++stable >= kStableSamples) {
-          TDBG_LOG(telemetry::LogLevel::kError, "mpi.watchdog.deadlock",
-                   progress);
-          world_.abort(AbortCause::kDeadlock,
-                       "deadlock: " + describe_waits(waits));
-          return;
-        }
-      } else {
-        stable = 0;
-      }
-      last_progress = progress;
-    }
-  }
-
-  World& world_;
-  std::chrono::milliseconds interval_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
-
 }  // namespace
 
 Rank this_rank() { return tl_rank; }
@@ -137,44 +46,35 @@ RunResult run(int num_ranks, const RankBody& body, const RunOptions& options) {
   std::mutex failures_mu;
   std::vector<RankFailure> failures;
 
-  {
-    // Watchdog is scoped inside the thread lifetime: it must be
-    // destroyed (joined) before we inspect results, and it must exist
-    // while ranks can block.
-    std::optional<Watchdog> watchdog;
-    if (options.deadlock_watchdog) {
-      watchdog.emplace(world, options.watchdog_interval);
-    }
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_ranks));
-    for (Rank r = 0; r < num_ranks; ++r) {
-      threads.emplace_back([&, r] {
-        RankScope scope(r);
-        Comm comm(&world, r);
-        if (options.hooks != nullptr) options.hooks->on_rank_start(r);
-        try {
-          body(comm);
-          world.shared().registry.mark_finished(r);
-        } catch (const Aborted&) {
-          // Unwound by an abort elsewhere; not a failure of this rank.
-          world.shared().registry.mark_finished(r);
-        } catch (const std::exception& e) {
-          TDBG_LOG(telemetry::LogLevel::kError, "mpi.rank_failed",
-                   static_cast<std::uint64_t>(r));
-          {
-            std::lock_guard lk(failures_mu);
-            failures.push_back(RankFailure{r, e.what()});
-          }
-          world.shared().registry.mark_finished(r);
-          world.abort(AbortCause::kRankFailure,
-                      "rank " + std::to_string(r) + " failed: " + e.what());
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(num_ranks));
+  for (Rank r = 0; r < num_ranks; ++r) {
+    threads.emplace_back([&, r] {
+      RankScope scope(r);
+      Comm comm(&world, r);
+      if (options.hooks != nullptr) options.hooks->on_rank_start(r);
+      try {
+        body(comm);
+      } catch (const Aborted&) {
+        // Unwound by an abort elsewhere; not a failure of this rank.
+      } catch (const std::exception& e) {
+        TDBG_LOG(telemetry::LogLevel::kError, "mpi.rank_failed",
+                 static_cast<std::uint64_t>(r));
+        {
+          std::lock_guard lk(failures_mu);
+          failures.push_back(RankFailure{r, e.what()});
         }
-        if (options.hooks != nullptr) options.hooks->on_rank_finish(r);
-      });
-    }
-    for (auto& t : threads) t.join();
+        world.abort(AbortCause::kRankFailure,
+                    "rank " + std::to_string(r) + " failed: " + e.what());
+      }
+      // Finish hooks may still deliver (the fault engine releases
+      // reorder-held messages), so the rank counts as running until
+      // they return.
+      if (options.hooks != nullptr) options.hooks->on_rank_finish(r);
+      if (world.shared().registry.mark_finished(r)) world.declare_deadlock();
+    });
   }
+  for (auto& t : threads) t.join();
 
   RunResult result;
   result.failures = std::move(failures);

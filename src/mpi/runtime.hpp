@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,8 +14,12 @@
 /// \file runtime.hpp
 /// Entry point of the message-passing substrate: spawn N single-
 /// threaded ranks, run a body on each, join, and report what happened
-/// (including deadlocks, which the watchdog detects and unwinds so a
-/// buggy target program terminates instead of hanging the debugger).
+/// (including deadlocks, which are unwound so a buggy target program
+/// terminates instead of hanging the debugger).  Deadlock is decided
+/// exactly, with no timer: every rank's state lives in the world's
+/// `WaitRegistry`, a rank is marked running by whoever wakes it before
+/// it is woken, and the wait or finish that leaves every rank idle
+/// with some blocked and none parked declares the deadlock at once.
 
 namespace tdbg::mpi {
 
@@ -33,24 +36,12 @@ struct RunOptions {
   /// seams.  Null (the default) costs one pointer test per send/recv.
   FaultInjector* fault_injector = nullptr;
 
-  /// Detect stable global quiescence and abort the run.
-  bool deadlock_watchdog = true;
-
-  /// Watchdog sampling period.  Wider under ThreadSanitizer: its
-  /// 10-20x slowdown stretches genuine scheduling gaps past the normal
-  /// stability window, which would read as false deadlocks.
-#if defined(__SANITIZE_THREAD__)
-  std::chrono::milliseconds watchdog_interval{20};
-#else
-  std::chrono::milliseconds watchdog_interval{2};
-#endif
-
   /// Called once, before ranks start, with shared ownership of the
-  /// run's world.  The debugger and replay engine use this to inspect
-  /// live wait states (who is blocked in a receive) while ranks are
-  /// parked at breakpoints; holding the pointer keeps introspection
-  /// safe after the run ends.
-  std::function<void(std::shared_ptr<const World>)> on_world_ready;
+  /// run's world.  The replay engine uses this to park ranks at
+  /// breakpoints through the world's wait registry and to wait for
+  /// quiescence there; holding the pointer keeps introspection safe
+  /// after the run ends.
+  std::function<void(std::shared_ptr<World>)> on_world_ready;
 };
 
 /// One rank's uncaught exception.
@@ -64,7 +55,7 @@ struct RunResult {
   /// Every rank body returned normally.
   bool completed = false;
 
-  /// The watchdog declared deadlock.
+  /// The run deadlocked: every rank idle, some blocked, none parked.
   bool deadlocked = false;
 
   /// Rank bodies that threw (excluding `Aborted` unwinds).

@@ -15,7 +15,7 @@ namespace tdbg::mpi {
 /// Why a run was aborted.
 enum class AbortCause : std::uint8_t {
   kNone,
-  kDeadlock,     ///< watchdog observed stable global quiescence
+  kDeadlock,     ///< every rank idle, some blocked, none parked
   kRankFailure,  ///< a rank body threw
   kExternal,     ///< Runtime caller requested abort
 };
@@ -62,6 +62,12 @@ class World {
   /// the wait registry, sets the abort flag, and wakes every blocked
   /// rank.  Safe to call from any thread, idempotent.
   void abort(AbortCause cause, std::string detail);
+
+  /// Aborts the run as deadlocked, describing who waits on whom; a
+  /// no-op once the run is aborting for another reason.  Called by the
+  /// rank whose transition the registry reports as the verdict, with
+  /// no mailbox lock held.
+  void declare_deadlock();
 
   /// Valid after the run stops; cause `kNone` if never aborted.
   [[nodiscard]] const AbortInfo& abort_info() const { return abort_; }

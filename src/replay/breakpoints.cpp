@@ -11,6 +11,11 @@ BreakpointControl::BreakpointControl(int num_ranks)
   TDBG_CHECK(num_ranks > 0, "breakpoint control needs at least one rank");
 }
 
+void BreakpointControl::attach(mpi::WaitRegistry* ledger) {
+  std::lock_guard lk(mu_);
+  ledger_ = ledger;
+}
+
 namespace {
 
 bool message_break_matches(const MessageBreak& spec, trace::EventKind kind,
@@ -64,29 +69,25 @@ void BreakpointControl::at_event(mpi::Rank rank, std::uint64_t marker,
                                  trace::EventKind kind, int depth,
                                  bool threshold_hit,
                                  const instr::EventDetail& detail) {
-  std::unique_lock lk(mu_);
-  auto& s = states_.at(static_cast<std::size_t>(rank));
-  const auto stop_reason =
-      should_stop(s, marker, construct, kind, depth, threshold_hit, detail);
-  if (!stop_reason) return;
+  {
+    std::lock_guard lk(mu_);
+    auto& s = states_.at(static_cast<std::size_t>(rank));
+    const auto stop_reason =
+        should_stop(s, marker, construct, kind, depth, threshold_hit, detail);
+    if (!stop_reason) return;
+    TDBG_CHECK(ledger_ != nullptr, "breakpoint control is not attached");
 
-  // One-shot conditions clear on hit; markers and construct
-  // breakpoints stay armed until disarmed.
-  s.step = false;
-  s.step_depth.reset();
-
-  s.stopped = true;
-  s.resume_requested = false;
-  s.stop = StopInfo{rank, marker, construct, kind, depth, *stop_reason};
-  driver_cv_.notify_all();
-  rank_cv_.wait(lk, [&] { return s.resume_requested; });
-  s.resume_requested = false;
-}
-
-void BreakpointControl::mark_finished(mpi::Rank rank) {
-  std::lock_guard lk(mu_);
-  states_.at(static_cast<std::size_t>(rank)).finished = true;
-  driver_cv_.notify_all();
+    // One-shot conditions clear on hit; markers and construct
+    // breakpoints stay armed until disarmed.
+    s.step = false;
+    s.step_depth.reset();
+    s.stop = StopInfo{rank, marker, construct, kind, depth, *stop_reason};
+    // Park while still holding the control lock: a driver that
+    // disarms and then resumes everything sees either no stop or a
+    // parked rank, never a rank about to park.
+    ledger_->park(rank);
+  }
+  ledger_->await_resume(rank);
 }
 
 void BreakpointControl::arm_marker(mpi::Rank rank, std::uint64_t marker) {
@@ -140,66 +141,19 @@ void BreakpointControl::disarm(mpi::Rank rank) {
 }
 
 void BreakpointControl::resume(mpi::Rank rank) {
-  std::lock_guard lk(mu_);
-  auto& s = states_.at(static_cast<std::size_t>(rank));
-  if (s.stopped) {
-    // Clear `stopped` here, not in the waking rank thread: a driver
-    // that resumes and immediately waits again must not observe the
-    // stale stop.
-    s.stopped = false;
-    s.resume_requested = true;
-    rank_cv_.notify_all();
-  }
+  if (ledger_ != nullptr) ledger_->resume(rank);
 }
 
 void BreakpointControl::resume_all() {
-  std::lock_guard lk(mu_);
-  bool any = false;
-  for (auto& s : states_) {
-    if (s.stopped) {
-      s.stopped = false;
-      s.resume_requested = true;
-      any = true;
-    }
-  }
-  if (any) rank_cv_.notify_all();
-}
-
-bool BreakpointControl::quiescent_locked() const {
-  for (const auto& s : states_) {
-    if (!s.stopped && !s.finished) return false;
-  }
-  return true;
-}
-
-std::vector<StopInfo> BreakpointControl::wait_until_quiescent() {
-  std::unique_lock lk(mu_);
-  driver_cv_.wait(lk, [&] { return quiescent_locked(); });
-  std::vector<StopInfo> stops;
-  for (const auto& s : states_) {
-    if (s.stopped) stops.push_back(s.stop);
-  }
-  return stops;
-}
-
-std::optional<StopInfo> BreakpointControl::wait_rank(mpi::Rank rank) {
-  std::unique_lock lk(mu_);
-  auto& s = states_.at(static_cast<std::size_t>(rank));
-  driver_cv_.wait(lk, [&] { return s.stopped || s.finished; });
-  if (!s.stopped) return std::nullopt;
-  return s.stop;
+  if (ledger_ != nullptr) ledger_->resume_all();
 }
 
 std::optional<StopInfo> BreakpointControl::stopped_at(mpi::Rank rank) const {
+  if (ledger_ == nullptr || ledger_->kind(rank) != mpi::WaitKind::kParked) {
+    return std::nullopt;
+  }
   std::lock_guard lk(mu_);
-  const auto& s = states_.at(static_cast<std::size_t>(rank));
-  if (!s.stopped) return std::nullopt;
-  return s.stop;
-}
-
-bool BreakpointControl::finished(mpi::Rank rank) const {
-  std::lock_guard lk(mu_);
-  return states_.at(static_cast<std::size_t>(rank)).finished;
+  return states_.at(static_cast<std::size_t>(rank)).stop;
 }
 
 }  // namespace tdbg::replay

@@ -1,19 +1,20 @@
 #pragma once
 
-#include <condition_variable>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <vector>
 
 #include "instrument/session.hpp"
+#include "mpi/wait_registry.hpp"
 
 /// \file breakpoints.hpp
 /// The control-point implementation of breakpoints: a
 /// `BreakpointControl` installed on the instrumentation session blocks
 /// each rank when it generates an execution marker the debugger armed
 /// (the UserMonitor threshold test of paper §2.2/§4.1), and lets a
-/// driver thread wait for the stop, inspect, re-arm, and resume.
+/// driver thread inspect, re-arm, and resume it.  Stopped ranks park
+/// in the run's `mpi::WaitRegistry`, where the driver waits for them.
 
 namespace tdbg::replay {
 
@@ -52,24 +53,23 @@ struct MessageBreak {
 /// optionally, at every event — single-step mode).
 ///
 /// Thread model: rank threads call `at_event` (from inside
-/// `UserMonitor`) and block there while stopped; one driver thread
-/// arms markers, waits for stops with `wait_until_quiescent`, and
+/// `UserMonitor`) and park in the wait registry while stopped; one
+/// driver thread arms markers, waits for stops on the registry, and
 /// resumes ranks.  A stopped rank blocks *before* the marked construct
 /// executes.
 class BreakpointControl : public instr::ControlInterface {
  public:
   explicit BreakpointControl(int num_ranks);
 
+  /// Binds the run's wait registry, where stopped ranks park.  Must
+  /// happen before any rank can reach `at_event`.
+  void attach(mpi::WaitRegistry* ledger);
+
   // --- called from rank threads (via the session) ----------------------
   void at_event(mpi::Rank rank, std::uint64_t marker,
                 trace::ConstructId construct, trace::EventKind kind,
                 int depth, bool threshold_hit,
                 const instr::EventDetail& detail) override;
-
-  /// Must be called when a rank's body finishes so the driver's
-  /// quiescence wait can account for it (wire it to
-  /// `ProfilingHooks::on_rank_finish`).
-  void mark_finished(mpi::Rank rank);
 
   // --- called from the driver thread ------------------------------------
 
@@ -105,23 +105,8 @@ class BreakpointControl : public instr::ControlInterface {
   /// Resumes every stopped rank.
   void resume_all();
 
-  /// Blocks until every rank is either stopped at a breakpoint or
-  /// finished.  Returns the stop states (finished ranks excluded).
-  /// This is how the driver knows a stopline has been reached: every
-  /// armed rank is parked and the rest have run off the end.
-  std::vector<StopInfo> wait_until_quiescent();
-
-  /// Blocks until `rank` is stopped or finished; returns its stop
-  /// state (nullopt when it finished).  The caller must ensure the
-  /// rank can actually make progress (e.g. it is not waiting on a
-  /// message from another stopped rank).
-  std::optional<StopInfo> wait_rank(mpi::Rank rank);
-
   /// Stop state of one rank, if stopped.
   [[nodiscard]] std::optional<StopInfo> stopped_at(mpi::Rank rank) const;
-
-  /// True when the rank's body has finished.
-  [[nodiscard]] bool finished(mpi::Rank rank) const;
 
  private:
   struct RankState {
@@ -132,11 +117,7 @@ class BreakpointControl : public instr::ControlInterface {
     std::vector<trace::ConstructId> constructs;
     std::vector<WatchProbe> watches;
     std::vector<MessageBreak> message_breaks;
-    // Current status:
-    bool stopped = false;
-    bool resume_requested = false;
-    bool finished = false;
-    StopInfo stop;
+    StopInfo stop;  ///< the last stop; current while the rank is parked
   };
 
   /// nullopt: keep running.  Otherwise stop; the value names the
@@ -145,12 +126,10 @@ class BreakpointControl : public instr::ControlInterface {
       RankState& s, std::uint64_t marker, trace::ConstructId construct,
       trace::EventKind kind, int depth, bool threshold_hit,
       const instr::EventDetail& detail) const;
-  [[nodiscard]] bool quiescent_locked() const;
 
   mutable std::mutex mu_;
-  std::condition_variable rank_cv_;    ///< wakes stopped rank threads
-  std::condition_variable driver_cv_;  ///< wakes the waiting driver
   std::vector<RankState> states_;
+  mpi::WaitRegistry* ledger_ = nullptr;
 };
 
 }  // namespace tdbg::replay

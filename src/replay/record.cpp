@@ -35,6 +35,10 @@ telemetry::HealthSample probe_rank(const mpi::World& world,
       case mpi::WaitKind::kFinished:
         s.state = telemetry::HealthSample::State::kFinished;
         break;
+      case mpi::WaitKind::kParked:
+        s.state = telemetry::HealthSample::State::kBlocked;
+        s.detail = "parked at a breakpoint";
+        break;
       case mpi::WaitKind::kRecv:
       case mpi::WaitKind::kSsend: {
         s.state = telemetry::HealthSample::State::kBlocked;
@@ -110,11 +114,10 @@ RecordedRun record(int num_ranks, const mpi::RankBody& body,
         options.health);
     const auto user_ready = run_options.on_world_ready;
     run_options.on_world_ready =
-        [world_slot, monitor,
-         user_ready](std::shared_ptr<const mpi::World> world) {
-          *world_slot = std::move(world);
+        [world_slot, monitor, user_ready](std::shared_ptr<mpi::World> world) {
+          *world_slot = world;
           monitor->start();
-          if (user_ready) user_ready((*world_slot));
+          if (user_ready) user_ready(std::move(world));
         };
   }
 

@@ -42,7 +42,7 @@ struct RecordOptions {
 
   /// Run a health heartbeat alongside the recording: per-rank marker /
   /// mailbox-depth / trace-backlog samples into an `obs::MetricsSeries`
-  /// and stall flags ahead of the watchdog.  The monitor is stopped
+  /// and stall flags for ranks that stop progressing.  The monitor is stopped
   /// before `record` returns; its last snapshot stays readable through
   /// `RecordedRun::health` (the debugger's `health` command).
   bool monitor_health = true;

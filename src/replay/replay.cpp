@@ -20,7 +20,6 @@ ReplaySession::ReplaySession(int num_ranks, mpi::RankBody body, MatchLog log,
   controller_ = std::make_unique<ReplayController>(std::move(log));
   control_ = std::make_unique<BreakpointControl>(num_ranks);
   session_->set_control(control_.get());
-  finish_hook_ = std::make_unique<FinishHook>(control_.get());
   if (record_matches) {
     recorder_ = std::make_unique<MatchRecorder>(num_ranks);
   }
@@ -31,7 +30,6 @@ ReplaySession::ReplaySession(int num_ranks, mpi::RankBody body, MatchLog log,
   hooks_->add(metrics_hooks_.get());
   hooks_->add(session_.get());
   hooks_->add(recorder_.get());
-  hooks_->add(finish_hook_.get());
 }
 
 ReplaySession::~ReplaySession() {
@@ -52,7 +50,8 @@ void ReplaySession::start_if_needed() {
     mpi::RunOptions options;
     options.hooks = hooks_.get();
     options.controller = controller_.get();
-    options.on_world_ready = [&world_promise](auto world) {
+    options.on_world_ready = [this, &world_promise](auto world) {
+      control_->attach(&world->shared().registry);
       world_promise.set_value(std::move(world));
     };
     result_ = mpi::run(num_ranks_, body_, options);
@@ -61,34 +60,9 @@ void ReplaySession::start_if_needed() {
 }
 
 std::vector<StopInfo> ReplaySession::wait_quiescent() {
-  // Poll breakpoint stops and runtime wait states until two
-  // consecutive stable all-idle observations.
-  bool was_idle = false;
-  std::uint64_t last_progress = 0;
-  for (;;) {
-    const auto waits = world_->shared().registry.snapshot();
-    const auto progress =
-        world_->shared().progress.load(std::memory_order_relaxed);
-    bool all_idle = true;
-    for (mpi::Rank r = 0; r < num_ranks_; ++r) {
-      const auto kind = waits[static_cast<std::size_t>(r)].kind;
-      const bool blocked_in_runtime =
-          kind == mpi::WaitKind::kRecv || kind == mpi::WaitKind::kSsend ||
-          kind == mpi::WaitKind::kFinished;
-      if (!blocked_in_runtime && !control_->stopped_at(r).has_value() &&
-          !control_->finished(r)) {
-        all_idle = false;
-        break;
-      }
-    }
-    if (all_idle && was_idle && progress == last_progress) break;
-    was_idle = all_idle;
-    last_progress = progress;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   std::vector<StopInfo> stops;
-  for (mpi::Rank r = 0; r < num_ranks_; ++r) {
-    if (auto stop = control_->stopped_at(r)) stops.push_back(*stop);
+  for (const auto& w : world_->shared().registry.await_quiescent()) {
+    if (auto stop = control_->stopped_at(w.rank)) stops.push_back(*stop);
   }
   return stops;
 }
@@ -114,27 +88,10 @@ std::vector<StopInfo> ReplaySession::run_to(const Stopline& stopline) {
 }
 
 std::optional<StopInfo> ReplaySession::wait_rank_or_blocked(mpi::Rank rank) {
-  // Wait until the rank stops at an event, finishes, or blocks in the
-  // message layer with no progress anywhere (it is then waiting on a
-  // parked rank and cannot stop until something else is resumed).
-  bool was_blocked = false;
-  std::uint64_t last_progress = 0;
-  for (;;) {
-    if (auto stop = control_->stopped_at(rank)) return stop;
-    if (control_->finished(rank)) return std::nullopt;
-    const auto waits = world_->shared().registry.snapshot();
-    const auto kind = waits[static_cast<std::size_t>(rank)].kind;
-    const bool blocked =
-        kind == mpi::WaitKind::kRecv || kind == mpi::WaitKind::kSsend;
-    const auto progress =
-        world_->shared().progress.load(std::memory_order_relaxed);
-    if (blocked && was_blocked && progress == last_progress) {
-      return std::nullopt;  // parked in the runtime, not at an event
-    }
-    was_blocked = blocked;
-    last_progress = progress;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (world_->shared().registry.await_settled(rank) != mpi::WaitKind::kParked) {
+    return std::nullopt;  // finished, or blocked on a parked rank
   }
+  return control_->stopped_at(rank);
 }
 
 std::optional<StopInfo> ReplaySession::step(mpi::Rank rank) {

@@ -95,27 +95,17 @@ class ReplaySession {
   [[nodiscard]] int num_ranks() const { return num_ranks_; }
 
  private:
-  /// Adapter wiring rank-finish notifications into the control.
-  class FinishHook : public mpi::ProfilingHooks {
-   public:
-    explicit FinishHook(BreakpointControl* control) : control_(control) {}
-    void on_rank_finish(mpi::Rank rank) override {
-      control_->mark_finished(rank);
-    }
-
-   private:
-    BreakpointControl* control_;
-  };
-
   void start_if_needed();
 
   /// Waits until the world is quiescent: every rank is parked at a
-  /// breakpoint, finished, or blocked in the message layer waiting on
-  /// a parked rank — with two stable observations so transient blocks
-  /// (message in flight) don't count.  Returns breakpoint stops only.
+  /// breakpoint, finished, or blocked in the message layer (then on a
+  /// parked rank).  The wait registry makes this exact — a resumed or
+  /// woken rank counts as running before it is scheduled.  Returns
+  /// breakpoint stops only.
   std::vector<StopInfo> wait_quiescent();
 
-  /// Waits for one rank to stop, finish, or durably block.
+  /// Waits for one rank to stop or finish, or for the world to go
+  /// quiescent (the rank is then blocked on a parked rank).
   std::optional<StopInfo> wait_rank_or_blocked(mpi::Rank rank);
 
   int num_ranks_;
@@ -125,7 +115,6 @@ class ReplaySession {
   std::unique_ptr<ReplayController> controller_;
   std::unique_ptr<MatchRecorder> recorder_;
   std::unique_ptr<BreakpointControl> control_;
-  std::unique_ptr<FinishHook> finish_hook_;
   std::unique_ptr<obs::MetricsHooks> metrics_hooks_;
   std::unique_ptr<mpi::HookFanout> hooks_;
 

@@ -89,7 +89,7 @@ void ChromeTraceWriter::add_spans(const std::vector<SpanRecord>& spans,
                                   int pid) {
   for (const auto& span : spans) {
     // Rank threads keep their rank as the tid; utility threads
-    // (driver, watchdog, flusher) share row 99 below the ranks.
+    // (driver, flusher) share row 99 below the ranks.
     const int tid = span.rank < 0 ? 99 : span.rank;
     add_complete(pid, tid, site_name(span.name), span.t_start,
                  span.t_end - span.t_start);

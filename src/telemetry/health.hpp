@@ -18,7 +18,7 @@
 /// state — through a caller-supplied probe, keeps the latest per-rank
 /// picture for the debugger's `health` command, accumulates the
 /// samples into an `obs::MetricsSeries`, and flags ranks that stop
-/// making progress *before* the deadlock watchdog fires (a stalled
+/// making progress while the run is not (yet) deadlocked (a stalled
 /// rank gets a WARN in the flight recorder the moment it crosses the
 /// threshold, so the black box explains the hang).
 ///
@@ -51,8 +51,8 @@ std::string_view health_state_name(HealthSample::State state);
 struct HealthOptions {
   std::chrono::milliseconds interval{25};
   /// A blocked rank whose marker has not moved for this long is
-  /// flagged as stalled (well under the watchdog's quiescence
-  /// verdict, which needs *global* stability).
+  /// flagged as stalled (the runtime's deadlock verdict needs every
+  /// rank idle; a stall needs only this one).
   std::chrono::milliseconds stall_after{200};
   /// Rows kept in the metrics series (bounds memory on long runs).
   std::size_t max_series_rows = 4096;

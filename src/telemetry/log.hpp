@@ -16,7 +16,7 @@
 /// fixed-size record (calibrated-TSC timestamp, rank, severity, an
 /// interned site id, and two u64 arguments) into a per-rank lock-free
 /// ring buffer.  The rings are always on: when a run crashes or the
-/// watchdog declares deadlock, the last records explain what the
+/// runtime declares deadlock, the last records explain what the
 /// *system* — runtime, fault engine, debugger — was doing in the
 /// moments before, and the debugger's `flightrec` command dumps them
 /// on demand.
@@ -28,7 +28,7 @@
 ///  2. Writers never block and never allocate: a record is one
 ///     fetch_add to claim a slot plus five relaxed word stores and a
 ///     release publish.  Concurrent writers on the same ring (the
-///     no-rank ring collects driver/watchdog/flusher threads) claim
+///     no-rank ring collects driver/flusher threads) claim
 ///     disjoint slots.
 ///  3. Readers (`dump`) are safe against concurrent writers: each
 ///     slot is a seqlock over atomic words — invalidate, fence,

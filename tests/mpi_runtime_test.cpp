@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <numeric>
 
+#include "cpu_load.hpp"
 #include "mpi/runtime.hpp"
 
 namespace tdbg::mpi {
@@ -169,6 +173,24 @@ TEST(Runtime, DeadlockIsDetectedAndUnwound) {
   EXPECT_NE(result.abort_detail.find("deadlock"), std::string::npos);
 }
 
+TEST(Runtime, SsendCycleIsDetectedAndUnwound) {
+  // Both ranks ssend first: each waits for a receive the other never
+  // posts.  The second to block declares the deadlock; the abort must
+  // wake the first, asleep on its rendezvous.
+  const auto result = run(2, [](Comm& comm) {
+    comm.ssend(std::span<const std::byte>(), 1 - comm.rank(), 4);
+    std::vector<std::byte> buf;
+    comm.recv(buf, 1 - comm.rank(), 4);
+  });
+  EXPECT_TRUE(result.deadlocked);
+  ASSERT_EQ(result.final_waits.size(), 2u);
+  for (const auto& w : result.final_waits) {
+    EXPECT_EQ(w.kind, WaitKind::kSsend) << "rank " << w.rank;
+    EXPECT_EQ(w.peer, 1 - w.rank);
+  }
+  EXPECT_NE(result.abort_detail.find("blocked in ssend"), std::string::npos);
+}
+
 TEST(Runtime, RankFailurePropagates) {
   const auto result = run(2, [](Comm& comm) {
     if (comm.rank() == 1) throw std::runtime_error("boom");
@@ -286,26 +308,172 @@ TEST(Collectives, ScatterDeliversPerRankParts) {
   EXPECT_TRUE(result.completed);
 }
 
-TEST(Runtime, ManyToOneWildcardStress) {
+/// Seven senders stream numbered messages to a wildcard receiver that
+/// checks each source's sequence arrives in order.  The senders
+/// outrun the receiver, so channels fill their rings and spill to the
+/// overflow while the receiver drains.  Returns the first violation,
+/// or an empty string.
+std::string many_to_one_fifo_violation() {
   constexpr int kRanks = 8;
   constexpr int kPerRank = 200;
+  std::string violation;
   const auto result = run(kRanks, [&](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<int> totals(kRanks, 0);
-      for (int i = 0; i < (kRanks - 1) * kPerRank; ++i) {
-        Status st;
-        const int v = comm.recv_value<int>(kAnySource, 1, &st);
-        EXPECT_EQ(v, totals[static_cast<std::size_t>(st.source)]);
-        ++totals[static_cast<std::size_t>(st.source)];
-      }
-      for (int r = 1; r < kRanks; ++r) {
-        EXPECT_EQ(totals[static_cast<std::size_t>(r)], kPerRank);
-      }
-    } else {
+    if (comm.rank() != 0) {
       for (int i = 0; i < kPerRank; ++i) comm.send_value<int>(i, 0, 1);
+      return;
+    }
+    std::vector<int> next(kRanks, 0);
+    for (int i = 0; i < (kRanks - 1) * kPerRank; ++i) {
+      Status st;
+      const int v = comm.recv_value<int>(kAnySource, 1, &st);
+      int& expected = next[static_cast<std::size_t>(st.source)];
+      if (v != expected && violation.empty()) {
+        violation = "source " + std::to_string(st.source) + " delivered " +
+                    std::to_string(v) + " before " + std::to_string(expected);
+      }
+      expected = v + 1;
     }
   });
-  EXPECT_TRUE(result.completed);
+  if (!result.completed) return "run did not complete: " + result.abort_detail;
+  return violation;
+}
+
+TEST(Runtime, ManyToOneWildcardStress) {
+  EXPECT_EQ(many_to_one_fifo_violation(), "");
+}
+
+TEST(Runtime, ChannelFifoSurvivesOverflowRefill) {
+  // A single run hits the ring-refill-then-spill interleaving only
+  // sometimes; 200 runs make an overtaking drain all but certain to
+  // show.
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(many_to_one_fifo_violation(), "") << "run " << i;
+  }
+}
+
+// --- The wait ledger, driven directly ------------------------------------
+
+TEST(WaitLedger, RankWokenButNotYetRunIsNotIdle) {
+  WaitRegistry ledger(2);
+  EXPECT_FALSE(ledger.enter_wait(0, WaitKind::kRecv, 1, 5));
+  // Rank 1 delivers to sleeping rank 0 and marks it running; rank 0's
+  // thread has not run yet.
+  ledger.wake(0, WaitKind::kRecv);
+  EXPECT_EQ(ledger.kind(0), WaitKind::kNone);
+  // Rank 1 now blocks: rank 0 still counts as running, so no verdict.
+  EXPECT_FALSE(ledger.enter_wait(1, WaitKind::kRecv, 0, 6));
+  const auto waits = ledger.snapshot();
+  EXPECT_EQ(waits[0].kind, WaitKind::kNone);
+  EXPECT_EQ(waits[1].kind, WaitKind::kRecv);
+  EXPECT_EQ(waits[1].peer, 0);
+  EXPECT_EQ(waits[1].tag, 6);
+}
+
+TEST(WaitLedger, OnlyTheLastWaiterDeclaresDeadlockOnce) {
+  WaitRegistry ledger(3);
+  EXPECT_FALSE(ledger.mark_finished(2));
+  EXPECT_FALSE(ledger.enter_wait(0, WaitKind::kRecv, 1, 0));
+  EXPECT_TRUE(ledger.enter_wait(1, WaitKind::kSsend, 0, 0));
+  // A spurious wakeup and re-entry reaches the same state again, but
+  // the verdict was already given.
+  ledger.exit_wait(1);
+  EXPECT_FALSE(ledger.enter_wait(1, WaitKind::kSsend, 0, 0));
+  ledger.exit_wait(0);
+  ledger.exit_wait(1);
+  EXPECT_FALSE(ledger.mark_finished(0));
+  EXPECT_FALSE(ledger.mark_finished(1));
+}
+
+TEST(WaitLedger, FinishThatStrandsAReceiverDeclaresDeadlock) {
+  WaitRegistry ledger(2);
+  EXPECT_FALSE(ledger.enter_wait(0, WaitKind::kRecv, 1, 0));
+  EXPECT_TRUE(ledger.mark_finished(1));
+}
+
+TEST(WaitLedger, ParkedRankPreventsTheVerdict) {
+  WaitRegistry ledger(2);
+  ledger.park(0);
+  EXPECT_FALSE(ledger.enter_wait(1, WaitKind::kRecv, 0, 0));
+  // Quiescent (every rank idle), but the debugger may resume rank 0.
+  const auto waits = ledger.await_quiescent();
+  EXPECT_EQ(waits[0].kind, WaitKind::kParked);
+  EXPECT_EQ(ledger.await_settled(0), WaitKind::kParked);
+  EXPECT_EQ(ledger.await_settled(1), WaitKind::kRecv);
+  // Resumed, rank 0 runs until it blocks too: now it is a deadlock.
+  ledger.resume(0);
+  EXPECT_EQ(ledger.kind(0), WaitKind::kNone);
+  EXPECT_TRUE(ledger.enter_wait(0, WaitKind::kRecv, 1, 0));
+}
+
+TEST(WaitLedger, ExitWaitAfterProducerWakeIsNoop) {
+  WaitRegistry ledger(2);
+  EXPECT_FALSE(ledger.enter_wait(0, WaitKind::kRecv, 1, 0));
+  ledger.wake(0, WaitKind::kRecv);
+  ledger.exit_wait(0);  // the woken rank's own exit: nothing left to do
+  EXPECT_EQ(ledger.kind(0), WaitKind::kNone);
+  // A wake of the wrong kind leaves a wait alone.
+  EXPECT_FALSE(ledger.enter_ssend(0, 1, 0, std::atomic<std::uint64_t>{0}, 1));
+  ledger.wake(0, WaitKind::kRecv);
+  EXPECT_EQ(ledger.kind(0), WaitKind::kSsend);
+  ledger.wake(0, WaitKind::kSsend);
+  ledger.exit_wait(0);
+  // The counts stayed exact through the no-ops: rank 1 finishing with
+  // rank 0 running is no verdict, rank 0 then blocking is.
+  EXPECT_FALSE(ledger.mark_finished(1));
+  EXPECT_TRUE(ledger.enter_wait(0, WaitKind::kRecv, 1, 0));
+}
+
+TEST(WaitLedger, SsendAlreadyMatchedDoesNotWait) {
+  WaitRegistry ledger(2);
+  const std::atomic<std::uint64_t> slot{3};
+  EXPECT_FALSE(ledger.enter_ssend(0, 1, 0, slot, 3));
+  EXPECT_EQ(ledger.kind(0), WaitKind::kNone);
+  const std::atomic<bool> aborted{false};
+  ledger.await_ssend(0, aborted);  // returns at once: never blocked
+}
+
+// --- Oversubscription: woken ranks wait for a CPU ------------------------
+
+/// Lowers the calling rank thread's priority below the busy threads'
+/// (raising a thread's own nice value needs no privilege).
+void deprioritize_this_thread() {
+  ASSERT_EQ(setpriority(PRIO_PROCESS, static_cast<id_t>(gettid()), 10), 0);
+}
+
+TEST(Runtime, NoFalseDeadlockUnderOversubscription) {
+  // Ranks and two busy threads share one CPU, and the ranks yield to
+  // the busy threads, so a woken rank can wait many milliseconds
+  // before it runs.  It must never count as idle meanwhile.
+  test::PinToOneCpu pin;
+  ASSERT_TRUE(pin.ok());
+  test::Spinners spinners(2);
+  const auto ping_pong = run(2, [](Comm& comm) {
+    deprioritize_this_thread();
+    const Rank peer = 1 - comm.rank();
+    for (int round = 0; round < 2000; ++round) {
+      if (comm.rank() == 0) {
+        comm.send_value<int>(round, peer, 1);
+        EXPECT_EQ(comm.recv_value<int>(peer, 2), round);
+      } else {
+        comm.send_value<int>(comm.recv_value<int>(peer, 1), peer, 2);
+      }
+    }
+  });
+  EXPECT_TRUE(ping_pong.completed) << ping_pong.abort_detail;
+  const auto ring = run(4, [](Comm& comm) {
+    deprioritize_this_thread();
+    const Rank right = (comm.rank() + 1) % comm.size();
+    const Rank left = (comm.rank() + comm.size() - 1) % comm.size();
+    for (int lap = 0; lap < 200; ++lap) {
+      if (comm.rank() == 0) {
+        comm.send_value<int>(lap, right, 3);
+        EXPECT_EQ(comm.recv_value<int>(left, 3), lap + comm.size() - 1);
+      } else {
+        comm.send_value<int>(comm.recv_value<int>(left, 3) + 1, right, 3);
+      }
+    }
+  });
+  EXPECT_TRUE(ring.completed) << ring.abort_detail;
 }
 
 }  // namespace

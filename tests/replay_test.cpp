@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 
 #include "analysis/session.hpp"
+#include "apps/ring.hpp"
 #include "apps/strassen.hpp"
 #include "apps/taskfarm.hpp"
+#include "cpu_load.hpp"
 #include "replay/checkpoint.hpp"
 #include "replay/record.hpp"
 #include "replay/replay.hpp"
@@ -132,6 +135,84 @@ TEST(Replay, StepAdvancesOneMarker) {
   EXPECT_EQ(next->marker, 3u);
   const auto result = session.finish();
   EXPECT_TRUE(result.completed);
+}
+
+/// Empty when `stops` holds exactly the armed ranks of `line`, each at
+/// its threshold; otherwise what differs, then the line and the stops.
+std::string stop_mismatch(const std::vector<StopInfo>& stops,
+                          const Stopline& line) {
+  std::string out;
+  std::size_t armed = 0;
+  for (std::size_t r = 0; r < line.thresholds.size(); ++r) {
+    if (!line.thresholds[r]) continue;
+    ++armed;
+    const auto it = std::find_if(stops.begin(), stops.end(), [&](const auto& s) {
+      return s.rank == static_cast<mpi::Rank>(r);
+    });
+    if (it == stops.end()) {
+      out += "rank " + std::to_string(r) + " not parked; ";
+    } else if (it->marker != *line.thresholds[r]) {
+      out += "rank " + std::to_string(r) + " parked at " +
+             std::to_string(it->marker) + "; ";
+    }
+  }
+  if (stops.size() != armed) out += std::to_string(stops.size()) + " stops";
+  if (out.empty()) return out;
+  out += " [line:";
+  for (const auto& t : line.thresholds) {
+    out += " " + (t ? std::to_string(*t) : std::string("-"));
+  }
+  out += " stops:";
+  for (const auto& s : stops) {
+    out += " " + std::to_string(s.rank) + "@" + std::to_string(s.marker);
+  }
+  return out + "]";
+}
+
+TEST(ReplayTest, RunToParksEveryArmedRankUnderLoad) {
+  // record -> replay_to -> replay_to -> undo (a fresh replay back to
+  // the first stopline, as the debugger's undo does), with busy
+  // threads competing for the CPUs: a resumed rank that has not been
+  // scheduled yet must not let replay_to return without its stop.
+  constexpr int kRanks = 4;
+  const auto body = [](mpi::Comm& comm) {
+    apps::ring::Options opts;
+    opts.laps = 10;
+    apps::ring::rank_body(comm, opts);
+  };
+  // Marker 1 is the rank body's entry; then rank 0 alternates send,
+  // recv and every other rank recv, send.  Rank 0 parked before its
+  // receive of lap k (marker 2k + 3) and the others before theirs
+  // (2k + 2) is a consistent cut.  The second stopline leaves rank 3
+  // unarmed, to run on until it blocks on parked rank 2.
+  const auto lap = [](int k, bool arm_last) {
+    Stopline line;
+    line.thresholds.assign(kRanks, std::uint64_t(2 * k + 2));
+    line.thresholds[0] = std::uint64_t(2 * k + 3);
+    if (!arm_last) line.thresholds[kRanks - 1].reset();
+    return line;
+  };
+  const Stopline first = lap(0, true);
+  const Stopline second = lap(3, false);
+  test::Spinners spinners(3);
+  for (int i = 0; i < 200; ++i) {
+    const auto rec = record(kRanks, body);
+    ASSERT_TRUE(rec.result.completed) << rec.result.abort_detail;
+    {
+      ReplaySession session(kRanks, body, rec.log);
+      ASSERT_EQ(stop_mismatch(session.run_to(first), first), "")
+          << "iteration " << i;
+      ASSERT_EQ(stop_mismatch(session.run_to(second), second), "")
+          << "iteration " << i;
+      const auto result = session.finish();
+      ASSERT_TRUE(result.completed) << result.abort_detail;
+    }
+    ReplaySession undone(kRanks, body, rec.log);
+    ASSERT_EQ(stop_mismatch(undone.run_to(first), first), "")
+        << "iteration " << i << " (undo)";
+    const auto result = undone.finish();
+    ASSERT_TRUE(result.completed) << result.abort_detail;
+  }
 }
 
 TEST(Replay, DivergentReplayIsDetected) {

@@ -322,7 +322,7 @@ TEST(TelemetryIntegration, ForcedHangDumpsFlightLogNamingTheHold) {
       fault::diagnose_hang(result, debugger.trace());
   ASSERT_TRUE(diagnosis.hung);
   // The black box explains the hang: the injected hold is in the
-  // dumped tail, and so is the watchdog's verdict.
+  // dumped tail, and so is the runtime's deadlock verdict.
   EXPECT_NE(diagnosis.flight_log.find("fault.hold"), std::string::npos)
       << diagnosis.flight_log;
   EXPECT_NE(diagnosis.flight_log.find("mpi.watchdog.deadlock"),
