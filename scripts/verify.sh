@@ -33,9 +33,11 @@
 # Extras under metrics-on:
 #   - grep gate           (matching / vector-clock computation confined
 #                          to src/analysis; everything else consumes
-#                          Session artifacts; no unordered_map/_set in
-#                          src/analysis or src/causality; no sleep_for/
-#                          sleep_until in src/mpi or src/replay)
+#                          Session artifacts; no unordered_map/_set and
+#                          no per-rank store walk (for_each_rank_event)
+#                          in src/analysis or src/causality; no
+#                          sleep_for/sleep_until in src/mpi or
+#                          src/replay)
 #   - ctest -L obs        (the obs label must select the obs suite)
 #   - abl_pass_fusion     (asserts fused-sweep ≥2x cpu-time over the
 #                          N-scan baseline and incremental ≥10x over
@@ -126,6 +128,16 @@ hashed="$(grep -rnE 'unordered_(map|set)' "$repo/src/analysis" "$repo/src/causal
 if [[ -n "$hashed" ]]; then
   echo "FAIL: hash containers in src/analysis or src/causality:" >&2
   echo "$hashed" >&2
+  exit 1
+fi
+# A pass reads the store at most once: a per-rank walk decodes every
+# segment once per rank on a lazy trace.  Per-rank state rides on
+# Trace::for_each_event_in_rank_order or the rank index instead.
+rankwalks="$(grep -rnE 'for_each_rank_event' "$repo/src/analysis" "$repo/src/causality" \
+          --include='*.cpp' --include='*.hpp' || true)"
+if [[ -n "$rankwalks" ]]; then
+  echo "FAIL: per-rank store walk in src/analysis or src/causality:" >&2
+  echo "$rankwalks" >&2
   exit 1
 fi
 # Runtime and replay progress decisions are made on the wait ledger's

@@ -5,6 +5,7 @@
 
 #include "causality/causal_order.hpp"
 #include "obs/metrics.hpp"
+#include "support/executor.hpp"
 #include "support/strings.hpp"
 
 namespace tdbg::analysis {
@@ -20,41 +21,60 @@ CriticalPath critical_path(const trace::Trace& trace,
   out.per_rank.assign(static_cast<std::size_t>(trace.num_ranks()), 0);
   if (trace.empty()) return out;
 
-  std::vector<support::TimeNs> best(trace.size(), 0);  // path cost ending here
-  std::vector<support::TimeNs> eff(trace.size(), 0);   // effective durations
-  std::vector<std::size_t> pred(trace.size(), trace::kNoEvent);
+  const std::size_t n = trace.size();
+  std::vector<support::TimeNs> best(n, 0);  // path cost ending here
+  std::vector<support::TimeNs> eff(n, 0);   // effective durations
+  std::vector<std::size_t> pred(n, trace::kNoEvent);
+  {
+    // The only store read: the two time columns, one segment-parallel
+    // pass (a columnar backend decodes nothing else).
+    std::vector<support::TimeNs> t_start(n, 0);
+    std::vector<support::TimeNs> t_end(n, 0);
+    trace.parallel_for_each_segment(
+        "analysis.critical_path.times", [&](std::size_t seg) {
+          trace.for_each_in_segment_cols(
+              seg, trace::kColTStart | trace::kColTEnd,
+              [&](std::size_t e, const trace::Event& ev) {
+                t_start[e] = ev.t_start;
+                t_end[e] = ev.t_end;
+              });
+        });
 
-  // Weights are profiler-style *self times*: an event's interval minus
-  // the intervals of events directly nested inside it on the same rank
-  // (a compute scope around blocking receives must not count their
-  // waits as its own work), and a matched receive's time spent blocked
-  // before its sender finished counts as edge latency, not rank work.
-  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-    struct Open {
-      std::size_t index;
-      support::TimeNs t_end;
-    };
-    std::vector<Open> stack;  // open enclosing intervals
-    trace.for_each_rank_event(r, [&](std::size_t e, const trace::Event& ev) {
-      const auto raw = std::max<support::TimeNs>(0, ev.t_end - ev.t_start);
-      eff[e] = raw;
-      while (!stack.empty() && stack.back().t_end <= ev.t_start) {
-        stack.pop_back();
-      }
-      if (!stack.empty() && ev.t_end <= stack.back().t_end) {
-        eff[stack.back().index] = std::max<support::TimeNs>(
-            0, eff[stack.back().index] - raw);  // parent loses child time
-        stack.push_back(Open{e, ev.t_end});
-      } else if (stack.empty()) {
-        stack.push_back(Open{e, ev.t_end});
-      }
-    });
-  }
-  for (const auto& m : matches.matches) {
-    const auto recv = trace.event(m.recv_index);
-    const auto send = trace.event(m.send_index);
-    eff[m.recv_index] = std::max<support::TimeNs>(
-        0, recv.t_end - std::max(recv.t_start, send.t_end));
+    // Weights are profiler-style *self times*: an event's interval
+    // minus the intervals of events directly nested inside it on the
+    // same rank (a compute scope around blocking receives must not
+    // count their waits as its own work), and a matched receive's time
+    // spent blocked before its sender finished counts as edge latency,
+    // not rank work.  Ranks are independent: each task writes only its
+    // own rank's events.
+    exec::Executor::global().parallel_for(
+        index.seq.size(), "analysis.critical_path.self", [&](std::size_t r) {
+          struct Open {
+            std::size_t index;
+            support::TimeNs t_end;
+          };
+          std::vector<Open> stack;  // open enclosing intervals
+          for (const std::size_t e : index.seq[r]) {
+            const auto raw =
+                std::max<support::TimeNs>(0, t_end[e] - t_start[e]);
+            eff[e] = raw;
+            while (!stack.empty() && stack.back().t_end <= t_start[e]) {
+              stack.pop_back();
+            }
+            if (!stack.empty() && t_end[e] <= stack.back().t_end) {
+              eff[stack.back().index] = std::max<support::TimeNs>(
+                  0, eff[stack.back().index] - raw);  // parent loses child time
+              stack.push_back(Open{e, t_end[e]});
+            } else if (stack.empty()) {
+              stack.push_back(Open{e, t_end[e]});
+            }
+          }
+        });
+    for (const auto& m : matches.matches) {
+      const std::size_t rv = m.recv_index;
+      eff[rv] = std::max<support::TimeNs>(
+          0, t_end[rv] - std::max(t_start[rv], t_end[m.send_index]));
+    }
   }
 
   // Longest path in dependency order: each event extends the costlier
@@ -78,7 +98,7 @@ CriticalPath critical_path(const trace::Trace& trace,
 
   // Walk back from the costliest endpoint.
   std::size_t tail = 0;
-  for (std::size_t e = 1; e < trace.size(); ++e) {
+  for (std::size_t e = 1; e < n; ++e) {
     if (best[e] > best[tail]) tail = e;
   }
   out.total = best[tail];

@@ -1,7 +1,6 @@
 #include "analysis/pass.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -459,32 +458,6 @@ TrafficReport compute_traffic(const SweepData& sweep,
   return out;
 }
 
-MessagePools compute_message_pools(const SweepData& sweep) {
-  MessagePools pools;
-  std::size_t ns = 0;
-  std::size_t nw = 0;
-  for (const auto& [key, ch] : sweep.channels) {
-    ns += ch.sends.size();
-    for (const auto& r : ch.recvs) nw += r.wildcard ? 1 : 0;
-  }
-  pools.sends.reserve(ns);
-  pools.wildcard_recvs.reserve(nw);
-  for (const auto& [key, ch] : sweep.channels) {
-    pools.sends.insert(pools.sends.end(), ch.sends.begin(), ch.sends.end());
-    for (const auto& r : ch.recvs) {
-      if (r.wildcard) pools.wildcard_recvs.push_back(r);
-    }
-  }
-  // Display order — the order the pre-refactor gather sweep produced.
-  const auto by_index = [](const auto& a, const auto& b) {
-    return a.index < b.index;
-  };
-  std::sort(pools.sends.begin(), pools.sends.end(), by_index);
-  std::sort(pools.wildcard_recvs.begin(), pools.wildcard_recvs.end(),
-            by_index);
-  return pools;
-}
-
 graph::CommGraph compute_comm_graph(const SweepData& sweep,
                                     const trace::MatchReport& report,
                                     const trace::RankIndex& index) {
@@ -527,8 +500,8 @@ graph::CommGraph compute_comm_graph(const SweepData& sweep,
   // Arcs: per rank, consecutive message endpoints in program order
   // connect their messages.  The shared rank index supplies program
   // order; non-message events have no node.  Rank sweeps are
-  // independent and the set union below is order-insensitive, so the
-  // final sorted arc list is deterministic.
+  // independent and the union below sorts and dedups, so the final arc
+  // list is deterministic.
   const std::size_t nranks = index.seq.size();
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> rank_arcs(
       nranks);
@@ -544,14 +517,16 @@ graph::CommGraph compute_comm_graph(const SweepData& sweep,
           prev_node = node;
         }
       });
-  std::set<std::pair<std::size_t, std::size_t>> arc_set;
-  for (const auto& arcs : rank_arcs) {
-    arc_set.insert(arcs.begin(), arcs.end());
+  std::size_t narcs = 0;
+  for (const auto& arcs : rank_arcs) narcs += arcs.size();
+  std::vector<std::pair<std::size_t, std::size_t>> arcs;
+  arcs.reserve(narcs);
+  for (const auto& part : rank_arcs) {
+    arcs.insert(arcs.end(), part.begin(), part.end());
   }
-  return graph::CommGraph(
-      std::move(nodes),
-      std::vector<std::pair<std::size_t, std::size_t>>(arc_set.begin(),
-                                                       arc_set.end()));
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  return graph::CommGraph(std::move(nodes), std::move(arcs));
 }
 
 }  // namespace tdbg::analysis

@@ -23,7 +23,7 @@
 ///   * communication supervision (the unmatched remainder),
 ///   * traffic accounting (every field the aggregator needs is
 ///     captured in the records, so no per-match `event()` lookups),
-///   * race-candidate gathering (the send pool and wildcard receives),
+///   * the race search (per-channel sends and wildcard receives),
 ///   * comm-graph node/edge extraction, and
 ///   * the per-event index (program order, rank, message partner),
 ///
@@ -90,13 +90,6 @@ struct SweepData {
   std::size_t num_events = 0;
 };
 
-/// The race detector's candidate pools, in display order (derived from
-/// the sweep's channels, no trace rescan).
-struct MessagePools {
-  std::vector<SweepSend> sends;
-  std::vector<SweepRecv> wildcard_recvs;
-};
-
 /// One fused pass over every segment of `trace`.
 SweepData compute_sweep(const trace::Trace& trace);
 
@@ -122,10 +115,6 @@ std::shared_ptr<const trace::RankIndex> compute_rank_index(
 /// `analyze_traffic` text output.
 TrafficReport compute_traffic(const SweepData& sweep,
                               const trace::MatchReport& report, int num_ranks);
-
-/// The race detector's candidate pools (sorted back into display
-/// order from the per-channel lists).
-MessagePools compute_message_pools(const SweepData& sweep);
 
 /// Communication-graph construction from the sweep + matching + rank
 /// index (node layout and arc list byte-identical to the pre-refactor

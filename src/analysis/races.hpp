@@ -42,11 +42,20 @@ struct RaceReport {
   [[nodiscard]] bool racy() const { return !races.empty(); }
 };
 
-/// Finds races among the trace's wildcard receives.  `pools` is the
-/// fused sweep's candidate extract and `order` must be built over the
+/// Finds races among the trace's wildcard receives.  `sweep` is the
+/// fused sweep's per-channel records and `order` must be built over the
 /// same trace; both come from the owning `analysis::Session`
 /// (`Session::races()` is the public entry point).
-RaceReport find_races(const MessagePools& pools,
+///
+/// Sends are indexed by (destination, tag, source) in program order.
+/// For each receive R and each source, the candidates are one window
+/// of that index: sends causally after R form a suffix (vector clocks
+/// only grow), the non-overtaking prefix on the matched send's rank
+/// ends at the matched send, and the sends R could still see inside
+/// the window come out of a range-max table over consumer positions.
+/// O(W · ranks · log S + k) for W wildcard receives, S sends and k
+/// reported candidates; each race's candidates are in display order.
+RaceReport find_races(const SweepData& sweep,
                       const causality::CausalOrder& order);
 
 }  // namespace tdbg::analysis

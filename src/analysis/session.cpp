@@ -144,7 +144,7 @@ const TrafficReport& Session::traffic() {
 
 const RaceReport& Session::races() {
   return materialize(races_, "session.races", [&] {
-    return find_races(compute_message_pools(sweep()), causal_order());
+    return find_races(sweep(), causal_order());
   });
 }
 
@@ -227,7 +227,7 @@ std::vector<PassInfo> Session::pass_states() const {
   one("comm_graph", "sweep, match, rank_index", true, comm_graph_);
   one("causal_order", "match, rank_index", false, order_);
   one("races", "sweep, causal_order", false, races_);
-  one("critical_path", "match, rank_index", false, critical_path_);
+  one("critical_path", "trace, match, rank_index", false, critical_path_);
   one("intertwined", "causal_order", false, intertwined_);
   one("action_graph", "trace", false, action_graph_);
   // The parameterized graph caches aggregate across their keys.

@@ -204,18 +204,17 @@ bool is_consistent(const trace::MatchReport& report,
 
 Cut cut_at_time(const trace::Trace& trace, support::TimeNs t) {
   Cut cut;
-  cut.prefix_len.assign(static_cast<std::size_t>(trace.num_ranks()), 0);
-  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-    // t_end is not monotone along a rank (nested intervals), so this
-    // stays a linear sweep — but through the cursor, not a vector.
-    std::size_t len = 0;
-    std::size_t p = 0;
-    trace.for_each_rank_event(r, [&](std::size_t, const trace::Event& e) {
-      ++p;
-      if (e.t_end <= t) len = p;
-    });
-    cut.prefix_len[static_cast<std::size_t>(r)] = len;
-  }
+  const auto nranks = static_cast<std::size_t>(trace.num_ranks());
+  cut.prefix_len.assign(nranks, 0);
+  // t_end is not monotone along a rank (nested intervals), so each
+  // rank's prefix ends after its last event finished by t: one walk
+  // with a program-order position counter per rank.
+  std::vector<std::size_t> seen(nranks, 0);
+  trace.for_each_event_in_rank_order([&](std::size_t, const trace::Event& e) {
+    const auto r = static_cast<std::size_t>(e.rank);
+    ++seen[r];
+    if (e.t_end <= t) cut.prefix_len[r] = seen[r];
+  });
   return cut;
 }
 

@@ -2,48 +2,41 @@
 
 #include <sstream>
 
-#include "support/error.hpp"
-#include "support/executor.hpp"
-
 namespace tdbg::graph {
 
 ActionGraph ActionGraph::from_trace(const trace::Trace& trace) {
   ActionGraph g;
-  g.per_rank_.resize(static_cast<std::size_t>(trace.num_ranks()));
-  // Run-collapsing is a per-rank fold over that rank's program order;
-  // each task owns its `per_rank_` slot, so ranks build concurrently
-  // with no shared state and a scheduling-independent result.
-  exec::Executor::global().parallel_for(
-      g.per_rank_.size(), "graph.actions", [&](std::size_t ri) {
-        const auto r = static_cast<mpi::Rank>(ri);
-        auto& actions = g.per_rank_[ri];
-        std::vector<trace::ConstructId> stack;
-        trace.for_each_rank_event(r, [&](std::size_t, const trace::Event& e) {
-          if (e.kind == trace::EventKind::kExit) {
-            if (!stack.empty()) stack.pop_back();
-            return;
-          }
-          const auto parent = stack.empty() ? trace::kNoConstruct : stack.back();
-          // Extend the previous action when this operation continues
-          // the same run (same parent activation, same construct,
-          // same kind).
-          if (!actions.empty()) {
-            auto& last = actions.back();
-            if (last.parent == parent && last.construct == e.construct &&
-                last.kind == e.kind) {
-              ++last.count;
-              last.marker_hi = e.marker;
-              if (e.kind == trace::EventKind::kEnter) {
-                stack.push_back(e.construct);
-              }
-              return;
-            }
-          }
-          actions.push_back(
-              Action{r, parent, e.construct, e.kind, 1, e.marker, e.marker});
-          if (e.kind == trace::EventKind::kEnter) stack.push_back(e.construct);
-        });
-      });
+  const auto nranks = static_cast<std::size_t>(trace.num_ranks());
+  g.per_rank_.resize(nranks);
+  // Run-collapsing is a per-rank fold over that rank's program order:
+  // one walk over the store, with each rank's call stack and action
+  // list picked by the event's rank.
+  std::vector<std::vector<trace::ConstructId>> stacks(nranks);
+  trace.for_each_event_in_rank_order([&](std::size_t, const trace::Event& e) {
+    const auto ri = static_cast<std::size_t>(e.rank);
+    auto& actions = g.per_rank_[ri];
+    auto& stack = stacks[ri];
+    if (e.kind == trace::EventKind::kExit) {
+      if (!stack.empty()) stack.pop_back();
+      return;
+    }
+    const auto parent = stack.empty() ? trace::kNoConstruct : stack.back();
+    // Extend the previous action when this operation continues the
+    // same run (same parent activation, same construct, same kind).
+    if (!actions.empty()) {
+      auto& last = actions.back();
+      if (last.parent == parent && last.construct == e.construct &&
+          last.kind == e.kind) {
+        ++last.count;
+        last.marker_hi = e.marker;
+        if (e.kind == trace::EventKind::kEnter) stack.push_back(e.construct);
+        return;
+      }
+    }
+    actions.push_back(
+        Action{e.rank, parent, e.construct, e.kind, 1, e.marker, e.marker});
+    if (e.kind == trace::EventKind::kEnter) stack.push_back(e.construct);
+  });
   return g;
 }
 

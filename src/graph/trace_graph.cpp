@@ -105,10 +105,10 @@ TraceGraph TraceGraph::from_trace(const trace::Trace& trace,
                                                obs::Unit::kNanoseconds),
       /*rank=*/-1);
   TraceGraph g(trace.num_ranks(), merge_limit);
-  for (mpi::Rank r = 0; r < trace.num_ranks(); ++r) {
-    trace.for_each_rank_event(
-        r, [&](std::size_t, const trace::Event& e) { g.add_event(e); });
-  }
+  // `add_event` keeps a call stack per rank, and every arc group
+  // belongs to one rank, so only per-rank order matters: one walk.
+  trace.for_each_event_in_rank_order(
+      [&](std::size_t, const trace::Event& e) { g.add_event(e); });
   return g;
 }
 

@@ -65,6 +65,17 @@ void Trace::for_each_rank_event(mpi::Rank rank,
   store_->for_each_rank_event(rank, visit);
 }
 
+void Trace::for_each_event_in_rank_order(const EventVisitor& visit) const {
+  if (is_lazy()) {
+    for_each_event(visit);
+    return;
+  }
+  // In memory a rank's display order may differ from its marker order
+  // (hand-built histories); the per-rank index is exact and costs no
+  // decode.
+  for (mpi::Rank r = 0; r < num_ranks(); ++r) for_each_rank_event(r, visit);
+}
+
 void Trace::for_each_in_window(support::TimeNs t0, support::TimeNs t1,
                                const EventVisitor& visit) const {
   if (store_) store_->for_each_in_window(t0, t1, visit);

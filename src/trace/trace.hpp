@@ -124,6 +124,14 @@ class Trace {
   /// Visits one rank's events in program order.
   void for_each_rank_event(mpi::Rank rank, const EventVisitor& visit) const;
 
+  /// Visits every event once, each rank's events in that rank's
+  /// program order; how the ranks interleave is unspecified.  This is
+  /// the walk for passes that keep per-rank state (call stacks, run
+  /// folds): a lazy backend only holds display-sorted streams with
+  /// monotone per-rank markers, so there it is one display-order
+  /// decode instead of one full decode per rank.
+  void for_each_event_in_rank_order(const EventVisitor& visit) const;
+
   /// Visits the events whose [t_start, t_end] intersects [t0, t1], in
   /// display order.  On a segmented backend only the segments the
   /// window touches are loaded.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "analysis/deadlock.hpp"
 #include "analysis/races.hpp"
 #include "analysis/session.hpp"
@@ -9,6 +14,8 @@
 #include "apps/taskfarm.hpp"
 #include "mpi/runtime.hpp"
 #include "replay/record.hpp"
+#include "support/executor.hpp"
+#include "support/rng.hpp"
 
 namespace tdbg::analysis {
 namespace {
@@ -177,6 +184,156 @@ TEST(RaceTest, TaskFarmIsRacyWithManyWorkers) {
   ASSERT_TRUE(rec.result.completed);
   analysis::Session session(rec.trace);
   EXPECT_TRUE(session.races().racy());
+}
+
+// --- indexed race search == the linear scan it replaced --------------------
+
+/// The pre-index race search, kept as the oracle: every send is tested
+/// against every matched wildcard receive, candidates in display order.
+RaceReport linear_scan_races(const SweepData& sweep,
+                             const causality::CausalOrder& order) {
+  const auto& index = order.index();
+  std::vector<SweepSend> sends;
+  std::vector<SweepRecv> wildcard_recvs;
+  for (const auto& [key, ch] : sweep.channels) {
+    sends.insert(sends.end(), ch.sends.begin(), ch.sends.end());
+    for (const auto& r : ch.recvs) {
+      if (r.wildcard) wildcard_recvs.push_back(r);
+    }
+  }
+  const auto by_index = [](const auto& a, const auto& b) {
+    return a.index < b.index;
+  };
+  std::sort(sends.begin(), sends.end(), by_index);
+  std::sort(wildcard_recvs.begin(), wildcard_recvs.end(), by_index);
+
+  RaceReport report;
+  for (const auto& recv : wildcard_recvs) {
+    const std::size_t r = recv.index;
+    const std::size_t matched = index.send_of[r];
+    if (matched == trace::kNoEvent) continue;
+    MessageRace race;
+    race.recv_index = r;
+    race.matched_send = matched;
+    for (const auto& send : sends) {
+      const std::size_t s = send.index;
+      if (s == matched || send.peer != recv.rank || send.tag != recv.tag) {
+        continue;
+      }
+      if (order.happens_before(r, s)) continue;
+      const std::size_t consumed = index.recv_of[s];
+      if (consumed != trace::kNoEvent && order.happens_before(consumed, r)) {
+        continue;
+      }
+      if (send.rank == index.rank[matched] &&
+          order.happens_before(s, matched)) {
+        continue;
+      }
+      race.candidates.push_back(s);
+    }
+    if (!race.candidates.empty()) report.races.push_back(std::move(race));
+  }
+  return report;
+}
+
+/// A hand-built history on `ranks` ranks and three tags.  Receives
+/// consume a *random* pending message of the chosen channel (optionally
+/// restricted to one tag), so tag-selective receives consume out of
+/// send order, even within one (source, tag); some sends are never
+/// consumed; sends after a receive on the same rank are causally after
+/// it.  With `jitter`, start times wobble so a rank's display order
+/// differs from its marker (program) order.
+std::vector<trace::Event> tangled_history(std::size_t n, int ranks,
+                                          std::uint64_t seed, bool jitter) {
+  auto rng = support::SplitMix64(seed).split(3);
+  const auto nr = static_cast<std::uint64_t>(ranks);
+  std::vector<trace::Event> events;
+  std::vector<std::uint64_t> next_marker(nr, 1);
+  struct Pending {
+    std::uint64_t seq;
+    mpi::Tag tag;
+  };
+  // Per (src, dst): sends issued so far, and the ones not yet consumed.
+  std::map<std::pair<int, int>, std::uint64_t> issued;
+  std::map<std::pair<int, int>, std::vector<Pending>> pending;
+  for (std::size_t i = 0; i < n; ++i) {
+    trace::Event e;
+    const int rank = static_cast<int>(rng.next_below(nr));
+    e.rank = rank;
+    e.marker = next_marker[static_cast<std::size_t>(rank)]++;
+    e.t_start = static_cast<support::TimeNs>(i) * 10 +
+                (jitter ? static_cast<support::TimeNs>(rng.next_below(400))
+                        : 0);
+    e.t_end = e.t_start + 6;
+    e.kind = trace::EventKind::kCompute;
+    const auto roll = rng.next_below(8);
+    if (roll < 3) {
+      const int dest = static_cast<int>(
+          (static_cast<std::uint64_t>(rank) + 1 + rng.next_below(nr - 1)) %
+          nr);
+      e.kind = trace::EventKind::kSend;
+      e.peer = dest;
+      e.tag = static_cast<mpi::Tag>(rng.next_below(3));
+      e.bytes = 8;
+      auto& seq = issued[{rank, dest}];
+      pending[{rank, dest}].push_back(Pending{seq++, e.tag});
+    } else if (roll < 5) {
+      const int src = static_cast<int>(rng.next_below(nr));
+      auto& box = pending[{src, rank}];
+      const bool by_tag = rng.next_below(2) == 0;
+      const auto tag = static_cast<mpi::Tag>(rng.next_below(3));
+      std::vector<std::size_t> eligible;
+      for (std::size_t k = 0; k < box.size(); ++k) {
+        if (!by_tag || box[k].tag == tag) eligible.push_back(k);
+      }
+      if (src != rank && !eligible.empty()) {
+        const std::size_t k = eligible[rng.next_below(eligible.size())];
+        e.kind = trace::EventKind::kRecv;
+        e.peer = src;
+        e.tag = box[k].tag;
+        e.channel_seq = static_cast<mpi::ChannelSeq>(box[k].seq);
+        e.bytes = 8;
+        e.wildcard = rng.next_below(3) != 0;
+        box.erase(box.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+    }
+    events.push_back(e);
+  }
+  return events;
+}
+
+void expect_races_equal(const RaceReport& got, const RaceReport& want) {
+  ASSERT_EQ(got.races.size(), want.races.size());
+  for (std::size_t i = 0; i < want.races.size(); ++i) {
+    EXPECT_EQ(got.races[i].recv_index, want.races[i].recv_index) << i;
+    EXPECT_EQ(got.races[i].matched_send, want.races[i].matched_send) << i;
+    EXPECT_EQ(got.races[i].candidates, want.races[i].candidates) << i;
+  }
+}
+
+TEST(RaceTest, IndexedSearchEqualsLinearScanAt1And4Threads) {
+  std::size_t races = 0;
+  std::size_t candidates = 0;
+  for (const bool jitter : {false, true}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      const trace::Trace trace(6, tangled_history(3000, 6, seed, jitter),
+                               nullptr);
+      for (const std::size_t threads : {1u, 4u}) {
+        exec::ScopedExecutor pool(threads);
+        analysis::Session session(trace);
+        const auto want =
+            linear_scan_races(session.sweep(), session.causal_order());
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " jitter "
+                                        << jitter << " threads " << threads);
+        expect_races_equal(session.races(), want);
+        races += want.races.size();
+        for (const auto& r : want.races) candidates += r.candidates.size();
+      }
+    }
+  }
+  // The histories must exercise the search, not compare empty lists.
+  EXPECT_GT(races, 100u);
+  EXPECT_GT(candidates, races);
 }
 
 TEST(TrafficTest, CountsChannelsAndBytes) {

@@ -6,7 +6,9 @@
 //   * fused-sweep results equal the legacy per-pass algorithms on the
 //     storm and deadlock_ring workloads at 1 and 8 threads,
 //   * once the causal order is built, the passes that read it never
-//     touch the trace store again.
+//     touch the trace store again, and the passes that do read it
+//     (action/trace graph, critical path, the time cut) decode each
+//     segment at most once.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +17,13 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "analysis/session.hpp"
+#include "causality/causal_order.hpp"
 #include "fault/engine.hpp"
 #include "fault/plan.hpp"
 #include "graph/export.hpp"
@@ -480,6 +484,63 @@ TEST(SessionTest, PassesAfterCausalOrderNeverTouchTheStore) {
   const auto after = store->cache_stats();
   EXPECT_EQ(after.loads, before.loads);
   EXPECT_EQ(after.hits, before.hits);
+}
+
+// --- passes past the causal order read the store at most once --------------
+
+TEST(SessionTest, PostCausalPassesDecodeEachSegmentOnce) {
+  constexpr int kRanks = 5;
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("tdbg_session_walk_test_" + std::to_string(::getpid()) +
+                     ".trc");
+  struct RemoveOnExit {
+    std::filesystem::path path;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } cleanup{path};
+  trace::write_trace(path,
+                     trace::Trace(kRanks, synth_events(4000, kRanks, 7),
+                                  nullptr),
+                     trace::TraceFormat::kBinaryV3, /*segment_events=*/256);
+  trace::TraceOpenOptions options;
+  options.cache_segments = 2;
+  options.prefetch = false;
+  const auto lazy = trace::open_trace(path, options);
+  const auto* store =
+      dynamic_cast<const trace::SegmentedTraceStore*>(lazy.store().get());
+  ASSERT_NE(store, nullptr);
+  ASSERT_GT(lazy.segment_count(), options.cache_segments);
+
+  analysis::Session session(lazy);
+  (void)session.causal_order();
+
+  // Each pass decodes every segment at most once (a compressed-block
+  // read or hit per segment) and never materializes decoded rows; a
+  // per-rank walk would cost about ranks x segments row loads.
+  const std::pair<const char*, std::function<void()>> passes[] = {
+      {"action_graph",
+       [&] { EXPECT_GT(session.action_graph().total_actions(), 0u); }},
+      {"trace_graph",
+       [&] { EXPECT_GT(session.trace_graph().arc_count(), 0u); }},
+      {"critical_path",
+       [&] { EXPECT_GT(session.critical_path().events.size(), 0u); }},
+      {"cut_at_time",
+       [&] {
+         (void)causality::cut_at_time(lazy, (lazy.t_min() + lazy.t_max()) / 2);
+       }},
+  };
+  for (const auto& [name, pull] : passes) {
+    const auto before = store->cache_stats();
+    pull();
+    const auto after = store->cache_stats();
+    EXPECT_LE((after.blob_loads + after.blob_hits) -
+                  (before.blob_loads + before.blob_hits),
+              lazy.segment_count())
+        << name;
+    EXPECT_EQ(after.loads, before.loads) << name;
+  }
 }
 
 // --- fused == legacy per-pass ----------------------------------------------

@@ -93,6 +93,44 @@ TEST(TraceTest, RankEventsPreserveProgramOrder) {
   EXPECT_EQ(trace.event(seq[2]).marker, 3u);
 }
 
+/// Per rank, the markers `for_each_event_in_rank_order` visits.
+std::vector<std::vector<std::uint64_t>> rank_order_markers(const Trace& t) {
+  std::vector<std::vector<std::uint64_t>> seen(
+      static_cast<std::size_t>(t.num_ranks()));
+  t.for_each_event_in_rank_order([&](std::size_t, const Event& e) {
+    seen[static_cast<std::size_t>(e.rank)].push_back(e.marker);
+  });
+  return seen;
+}
+
+TEST(TraceTest, RankOrderWalkFollowsProgramOrder) {
+  // Rank 0's marker 2 starts before its marker 1: display order and
+  // program order disagree, and the walk must follow the markers.
+  std::vector<Event> events;
+  events.push_back(make_event(EventKind::kMark, 0, 1, 300, 400));
+  events.push_back(make_event(EventKind::kMark, 0, 2, 100, 150));
+  events.push_back(make_event(EventKind::kMark, 1, 1, 200, 250));
+  events.push_back(make_event(EventKind::kMark, 1, 2, 350, 360));
+  const Trace trace(2, std::move(events), nullptr);
+  const std::vector<std::vector<std::uint64_t>> want{{1, 2}, {1, 2}};
+  EXPECT_EQ(rank_order_markers(trace), want);
+
+  // A lazily opened v3 trace takes the one display-order walk.
+  std::vector<Event> sorted;
+  for (int i = 0; i < 40; ++i) {
+    sorted.push_back(make_event(EventKind::kMark, i % 3,
+                                static_cast<std::uint64_t>(i / 3 + 1),
+                                10 * i, 10 * i + 5));
+  }
+  const Trace eager(3, sorted, nullptr);
+  TempFile file;
+  write_trace(file.path(), eager, TraceFormat::kBinaryV3,
+              /*segment_events=*/8);
+  const auto lazy = open_trace(file.path());
+  ASSERT_TRUE(lazy.is_lazy());
+  EXPECT_EQ(rank_order_markers(lazy), rank_order_markers(eager));
+}
+
 TEST(TraceTest, WindowQueryFindsIntersecting) {
   std::vector<Event> events;
   events.push_back(make_event(EventKind::kCompute, 0, 1, 0, 10));
