@@ -3,8 +3,10 @@
 // Builds one ~2.1M-event synthetic workload (same shape as
 // abl_pass_fusion: paired sends/receives, computes, bounded
 // wildcards), writes it as v2 row segments and v3 column blocks, and
-// — before any timing — verifies that every analysis artifact
-// (matching, traffic, comm graph, races) computed over the v3 file is
+// — before any timing — verifies that the v3 file saved on one thread
+// is byte-identical to the one saved on the default pool (printing
+// both save times), and that every analysis artifact (matching,
+// traffic, comm graph, races) computed over the v3 file is
 // byte-identical to the v2 file.  Then measures, best-of-5, fresh
 // open per repetition:
 //
@@ -32,6 +34,8 @@
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -39,6 +43,7 @@
 #include "analysis/session.hpp"
 #include "graph/export.hpp"
 #include "support/clock.hpp"
+#include "support/executor.hpp"
 #include "trace/store.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
@@ -110,6 +115,12 @@ std::vector<trace::Event> build_events(
     }
   }
   return events;
+}
+
+std::vector<char> slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 double cpu_now() {
@@ -230,15 +241,42 @@ int main(int argc, char** argv) {
   const auto v2 = dir / "t.v2.trc";
   const auto v3 = dir / "t.v3.trc";
 
+  const auto v3_serial = dir / "t.v3.serial.trc";
   auto registry = std::make_shared<trace::ConstructRegistry>();
+  double save_serial_s = 0;
+  double save_pool_s = 0;
   {
     const trace::Trace full(kRanks, build_events(events, registry), registry);
     events = full.size();
     trace::write_trace(v2, full, trace::TraceFormat::kBinary);
+    {
+      const exec::ScopedExecutor serial(1);
+      const support::Stopwatch sw;
+      trace::write_trace(v3_serial, full, trace::TraceFormat::kBinaryV3);
+      save_serial_s = sw.elapsed_s();
+    }
+    const support::Stopwatch sw;
     trace::write_trace(v3, full, trace::TraceFormat::kBinaryV3);
+    save_pool_s = sw.elapsed_s();
   }
 
-  // Gate 0 (before any timing): artifacts over v3 == artifacts over
+  // Gate 0a (before any timing is used): a v3 save seals its segments
+  // in parallel, and the file must not depend on the thread count.
+  if (slurp(v3_serial) != slurp(v3)) {
+    std::fprintf(stderr,
+                 "columnar: GATE FAIL — v3 file written on %zu threads "
+                 "differs from the 1-thread file\n",
+                 exec::Executor::global().threads());
+    std::filesystem::remove_all(dir);
+    return 1;
+  }
+  std::fprintf(stderr,
+               "columnar: v3 save 1 thread %.3f s, %zu threads %.3f s; "
+               "files byte-identical\n",
+               save_serial_s, exec::Executor::global().threads(),
+               save_pool_s);
+
+  // Gate 0b (before any timing): artifacts over v3 == artifacts over
   // v2, byte for byte.
   if (artifact_digest(open_cold(v2)) != artifact_digest(open_cold(v3))) {
     std::fprintf(stderr,

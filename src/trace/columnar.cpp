@@ -4,7 +4,9 @@
 #include <bit>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -37,54 +39,202 @@ inline std::size_t varint_size(std::uint64_t v) {
   return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
-/// Storage transform: field -> u64 column value (bijective per row;
-/// `t_end` depends on the same row's `t_start`).
-std::uint64_t storage_value(const Event& e, std::size_t col) {
-  switch (col) {
-    case kColKind: return static_cast<std::uint8_t>(e.kind);
-    case kColRank: return static_cast<std::uint64_t>(
-        static_cast<std::uint32_t>(e.rank));
-    case kColMarker: return e.marker;
-    case kColConstruct:
-      // kNoConstruct (0xffffffff) packs as 0 so runtime-synthesized
-      // events const- or bitpack-encode to almost nothing.
-      return static_cast<std::uint32_t>(e.construct + 1);
-    case kColTStart: return zigzag64(e.t_start);
-    case kColTEnd: return zigzag64(e.t_end - e.t_start);
-    case kColPeer: return zigzag64(e.peer);
-    case kColTag: return zigzag64(e.tag);
-    case kColChannelSeq: return e.channel_seq;
-    case kColBytes: return e.bytes;
-    case kColWildcard: return e.wildcard ? 1 : 0;
-    default: return 0;
+/// Storage transform of column `C`: field -> u64 column value
+/// (bijective per row; `t_end` depends on the same row's `t_start`).
+template <std::size_t C>
+inline std::uint64_t storage_value(const Event& e) {
+  if constexpr (C == kColKind) {
+    return static_cast<std::uint8_t>(e.kind);
+  } else if constexpr (C == kColRank) {
+    return static_cast<std::uint32_t>(e.rank);
+  } else if constexpr (C == kColMarker) {
+    return e.marker;
+  } else if constexpr (C == kColConstruct) {
+    // kNoConstruct (0xffffffff) packs as 0 so runtime-synthesized
+    // events const- or bitpack-encode to almost nothing.
+    return static_cast<std::uint32_t>(e.construct + 1);
+  } else if constexpr (C == kColTStart) {
+    return zigzag64(e.t_start);
+  } else if constexpr (C == kColTEnd) {
+    return zigzag64(e.t_end - e.t_start);
+  } else if constexpr (C == kColPeer) {
+    return zigzag64(e.peer);
+  } else if constexpr (C == kColTag) {
+    return zigzag64(e.tag);
+  } else if constexpr (C == kColChannelSeq) {
+    return e.channel_seq;
+  } else if constexpr (C == kColBytes) {
+    return e.bytes;
+  } else {
+    static_assert(C == kColWildcard, "unhandled column");
+    return e.wildcard ? 1 : 0;
   }
 }
 
-/// Logical value for the zone map (signed, so min/max match the
-/// query-level comparisons).
-std::int64_t logical_value(const Event& e, std::size_t col) {
-  switch (col) {
-    case kColKind: return static_cast<std::uint8_t>(e.kind);
-    case kColRank: return e.rank;
-    case kColMarker: return static_cast<std::int64_t>(e.marker);
-    case kColConstruct: return static_cast<std::int64_t>(e.construct);
-    case kColTStart: return e.t_start;
-    case kColTEnd: return e.t_end;
-    case kColPeer: return e.peer;
-    case kColTag: return e.tag;
-    case kColChannelSeq: return static_cast<std::int64_t>(e.channel_seq);
-    case kColBytes: return static_cast<std::int64_t>(e.bytes);
-    case kColWildcard: return e.wildcard ? 1 : 0;
-    default: return 0;
+/// Logical value of column `C` for the zone map (signed, so min/max
+/// match the query-level comparisons).
+template <std::size_t C>
+inline std::int64_t logical_value(const Event& e) {
+  if constexpr (C == kColKind) {
+    return static_cast<std::uint8_t>(e.kind);
+  } else if constexpr (C == kColRank) {
+    return e.rank;
+  } else if constexpr (C == kColMarker) {
+    return static_cast<std::int64_t>(e.marker);
+  } else if constexpr (C == kColConstruct) {
+    return static_cast<std::int64_t>(e.construct);
+  } else if constexpr (C == kColTStart) {
+    return e.t_start;
+  } else if constexpr (C == kColTEnd) {
+    return e.t_end;
+  } else if constexpr (C == kColPeer) {
+    return e.peer;
+  } else if constexpr (C == kColTag) {
+    return e.tag;
+  } else if constexpr (C == kColChannelSeq) {
+    return static_cast<std::int64_t>(e.channel_seq);
+  } else if constexpr (C == kColBytes) {
+    return static_cast<std::int64_t>(e.bytes);
+  } else {
+    static_assert(C == kColWildcard, "unhandled column");
+    return e.wildcard ? 1 : 0;
   }
 }
 
-void append_varint(std::vector<std::byte>& out, std::uint64_t v) {
+inline unsigned char* put_varint(unsigned char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
+    *p++ = static_cast<unsigned char>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<std::byte>(v));
+  *p++ = static_cast<unsigned char>(v);
+  return p;
+}
+
+/// Pass 1 of the encoder for column `C`: one walk over the events
+/// fills `vals` with the storage values and, on the way, gathers the
+/// zone, the presence mask (kind and rank columns), and the exact size
+/// of every candidate encoding.  Then picks the cheapest encoding; ties
+/// go bitpack, varint, delta, raw.  `n` > 0.
+template <std::size_t C>
+ColumnMeta scan_column(const Event* events, std::size_t n,
+                       std::uint64_t* vals, SegmentZoneInfo& zi) {
+  std::uint64_t vmin = ~0ull;
+  std::uint64_t vmax = 0;
+  std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+  std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t size_var = 0;
+  std::uint64_t size_delta = 0;
+  std::uint64_t prev = 0;
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Event& e = events[i];
+    const std::uint64_t v = storage_value<C>(e);
+    const std::int64_t lv = logical_value<C>(e);
+    vals[i] = v;
+    vmin = std::min(vmin, v);
+    vmax = std::max(vmax, v);
+    lo = std::min(lo, lv);
+    hi = std::max(hi, lv);
+    size_var += varint_size(v);
+    size_delta += varint_size(zigzag64(static_cast<std::int64_t>(v - prev)));
+    prev = v;
+    if constexpr (C == kColKind) {
+      mask |= 1u << static_cast<std::uint8_t>(e.kind);
+    } else if constexpr (C == kColRank) {
+      mask |= 1ull << (e.rank >= 0 ? std::min(e.rank, 63) : 63);
+    }
+  }
+  zi.zones[C] = wire::ColumnZone{lo, hi};
+  if constexpr (C == kColKind) zi.kind_mask = static_cast<std::uint32_t>(mask);
+  if constexpr (C == kColRank) zi.rank_mask = mask;
+
+  ColumnMeta m;
+  if (vmin == vmax) {
+    m.encoding = Encoding::kConst;
+    m.base = vmin;
+    return m;
+  }
+  const unsigned width = static_cast<unsigned>(std::bit_width(vmax - vmin));
+  const std::uint64_t size_bp =
+      width <= kMaxBitPackWidth
+          ? (static_cast<std::uint64_t>(n) * width + 7) / 8
+          : ~0ull;
+  const std::uint64_t size_raw = 8ull * n;
+  const std::uint64_t best =
+      std::min({size_bp, size_var, size_delta, size_raw});
+  if (best == size_bp) {
+    m.encoding = Encoding::kBitPack;
+    m.width = static_cast<std::uint8_t>(width);
+    m.base = vmin;
+  } else if (best == size_var) {
+    m.encoding = Encoding::kVarint;
+  } else if (best == size_delta) {
+    m.encoding = Encoding::kDeltaVarint;
+  } else {
+    m.encoding = Encoding::kRaw;
+  }
+  m.byte_len = static_cast<std::uint32_t>(best);
+  return m;
+}
+
+/// Pass 2 of the encoder: writes `vals` in the encoding `m` chose into
+/// `out`, which holds exactly `m.byte_len` bytes.
+void write_column(const ColumnMeta& m, const std::uint64_t* vals,
+                  std::size_t n, unsigned char* out) {
+  switch (m.encoding) {
+    case Encoding::kConst:
+      return;
+    case Encoding::kBitPack: {
+      // LSB-first bit stream, flushed a 64-bit word at a time; the
+      // final partial word contributes only its occupied bytes.
+      const unsigned w = m.width;
+      std::uint64_t acc = 0;
+      unsigned bits = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t x = vals[i] - m.base;
+        acc |= x << bits;
+        bits += w;
+        if (bits >= 64) {
+          std::memcpy(out, &acc, 8);
+          out += 8;
+          bits -= 64;
+          // bits > 0 here only if x straddled the word (w <= 56 keeps
+          // the shift below 64).
+          acc = bits > 0 ? x >> (w - bits) : 0;
+        }
+      }
+      std::memcpy(out, &acc, (bits + 7) / 8);
+      return;
+    }
+    case Encoding::kVarint:
+      for (std::size_t i = 0; i < n; ++i) out = put_varint(out, vals[i]);
+      return;
+    case Encoding::kDeltaVarint: {
+      std::uint64_t prev = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        out = put_varint(
+            out, zigzag64(static_cast<std::int64_t>(vals[i] - prev)));
+        prev = vals[i];
+      }
+      return;
+    }
+    case Encoding::kRaw:
+      std::memcpy(out, vals, 8 * n);
+      return;
+  }
+}
+
+/// Encodes column `C`: scans the events, then appends the payload to
+/// `out` at its exact size.  Returns the column's descriptor.
+template <std::size_t C>
+ColumnMeta encode_column(const Event* events, std::size_t n,
+                         std::uint64_t* vals, SegmentZoneInfo& zi,
+                         std::vector<std::byte>& out) {
+  const ColumnMeta m = scan_column<C>(events, n, vals, zi);
+  const std::size_t at = out.size();
+  out.resize(at + m.byte_len);
+  write_column(m, vals, n, reinterpret_cast<unsigned char*>(out.data()) + at);
+  return m;
 }
 
 [[noreturn]] void column_error(const std::filesystem::path& path,
@@ -352,118 +502,36 @@ const char* encoding_name(Encoding e) {
   return i < kNumEncodings ? kEncodingNames[i] : "?";
 }
 
-void encode_segment(std::span<const Event> events, support::BinaryWriter& w,
+void encode_segment(std::span<const Event> events, std::vector<std::byte>& out,
                     SegmentZoneInfo* zone_out) {
   const std::size_t n = events.size();
   SegmentZoneInfo zi;
-  for (const Event& e : events) {
-    zi.kind_mask |= 1u << static_cast<std::uint8_t>(e.kind);
-    const int bit = e.rank >= 0 ? std::min(e.rank, 63) : 63;
-    zi.rank_mask |= 1ull << bit;
+  std::array<ColumnMeta, wire::kNumColumnsV3> cols{};
+  const std::size_t start = out.size();
+  out.resize(start + kSegmentHeaderBytes);
+  if (n > 0) {
+    // Storage values of the column being encoded; one buffer per thread,
+    // reused across columns, segments and calls.
+    thread_local std::vector<std::uint64_t> vals;
+    if (vals.size() < n) vals.resize(n);
+    [&]<std::size_t... C>(std::index_sequence<C...>) {
+      ((cols[C] = encode_column<C>(events.data(), n, vals.data(), zi, out)),
+       ...);
+    }(std::make_index_sequence<wire::kNumColumnsV3>{});
   }
 
-  SegmentHeader h;
-  h.count = static_cast<std::uint32_t>(n);
-  std::array<std::vector<std::byte>, wire::kNumColumnsV3> payloads;
-  std::vector<std::uint64_t> vals(n);
-
-  for (std::size_t c = 0; c < wire::kNumColumnsV3; ++c) {
-    auto& zone = zi.zones[c];
-    for (std::size_t i = 0; i < n; ++i) {
-      vals[i] = storage_value(events[i], c);
-      const std::int64_t lv = logical_value(events[i], c);
-      if (i == 0) {
-        zone.lo = zone.hi = lv;
-      } else {
-        zone.lo = std::min(zone.lo, lv);
-        zone.hi = std::max(zone.hi, lv);
-      }
-    }
-    auto& m = h.cols[c];
-    auto& payload = payloads[c];
-    if (n == 0) {
-      m = ColumnMeta{};
-      continue;
-    }
-    std::uint64_t vmin = vals[0];
-    std::uint64_t vmax = vals[0];
-    for (std::size_t i = 1; i < n; ++i) {
-      vmin = std::min(vmin, vals[i]);
-      vmax = std::max(vmax, vals[i]);
-    }
-    if (vmin == vmax) {
-      m.encoding = Encoding::kConst;
-      m.base = vmin;
-      m.byte_len = 0;
-      continue;
-    }
-    const unsigned width =
-        static_cast<unsigned>(std::bit_width(vmax - vmin));
-    const std::uint64_t size_bp =
-        width <= kMaxBitPackWidth
-            ? (static_cast<std::uint64_t>(n) * width + 7) / 8
-            : ~0ull;
-    std::uint64_t size_var = 0;
-    std::uint64_t size_delta = 0;
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      size_var += varint_size(vals[i]);
-      size_delta += varint_size(
-          zigzag64(static_cast<std::int64_t>(vals[i] - prev)));
-      prev = vals[i];
-    }
-    const std::uint64_t size_raw = 8ull * n;
-    const std::uint64_t best =
-        std::min({size_bp, size_var, size_delta, size_raw});
-
-    if (best == size_bp) {
-      m.encoding = Encoding::kBitPack;
-      m.width = static_cast<std::uint8_t>(width);
-      m.base = vmin;
-      payload.reserve(size_bp);
-      std::uint64_t acc = 0;
-      unsigned bits = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc |= (vals[i] - vmin) << bits;
-        bits += width;
-        while (bits >= 8) {
-          payload.push_back(static_cast<std::byte>(acc & 0xff));
-          acc >>= 8;
-          bits -= 8;
-        }
-      }
-      if (bits > 0) payload.push_back(static_cast<std::byte>(acc & 0xff));
-    } else if (best == size_var) {
-      m.encoding = Encoding::kVarint;
-      payload.reserve(size_var);
-      for (std::size_t i = 0; i < n; ++i) append_varint(payload, vals[i]);
-    } else if (best == size_delta) {
-      m.encoding = Encoding::kDeltaVarint;
-      payload.reserve(size_delta);
-      prev = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        append_varint(payload,
-                      zigzag64(static_cast<std::int64_t>(vals[i] - prev)));
-        prev = vals[i];
-      }
-    } else {
-      m.encoding = Encoding::kRaw;
-      payload.resize(size_raw);
-      std::memcpy(payload.data(), vals.data(), size_raw);
-    }
-    m.byte_len = static_cast<std::uint32_t>(payload.size());
-  }
-
-  w.put<std::uint8_t>(wire::kRecordSegment);
-  w.put<std::uint32_t>(h.count);
-  for (const auto& m : h.cols) {
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(m.encoding));
-    w.put<std::uint8_t>(m.width);
-    w.put<std::uint64_t>(m.base);
-    w.put<std::uint32_t>(m.byte_len);
-  }
-  for (const auto& payload : payloads) {
-    w.put_raw(std::span<const std::byte>(payload));
+  auto* h = reinterpret_cast<unsigned char*>(out.data()) + start;
+  const auto put = [&h](const auto v) {
+    std::memcpy(h, &v, sizeof v);
+    h += sizeof v;
+  };
+  put(wire::kRecordSegment);
+  put(static_cast<std::uint32_t>(n));
+  for (const auto& m : cols) {
+    put(static_cast<std::uint8_t>(m.encoding));
+    put(m.width);
+    put(m.base);
+    put(m.byte_len);
   }
   if (zone_out != nullptr) *zone_out = zi;
 }

@@ -120,9 +120,17 @@ struct SegmentZoneInfo {
 };
 
 /// Encodes one segment block (tag byte included) for `events`,
-/// appending to `w`.  Fills `zone_out` with the segment's presence
+/// appending it to `out`.  Fills `zone_out` with the segment's presence
 /// masks and per-column zone maps.
-void encode_segment(std::span<const Event> events, support::BinaryWriter& w,
+///
+/// Two passes per column, each compiled for that column: the first
+/// walks the events once, filling the column's storage values (into a
+/// per-thread buffer) while gathering its zone, its presence mask and
+/// the exact size of every encoding; the second writes the chosen
+/// encoding into a payload of exactly that size.  Ties between
+/// encodings go bitpack, varint, delta, raw.  Safe to call from several
+/// threads at once on different outputs.
+void encode_segment(std::span<const Event> events, std::vector<std::byte>& out,
                     SegmentZoneInfo* zone_out);
 
 /// Reusable per-thread decode buffers; keep one per call site (see

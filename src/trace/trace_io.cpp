@@ -4,7 +4,9 @@
 #include <cstring>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/executor.hpp"
 #include "support/serialize.hpp"
 #include "support/strings.hpp"
 #include "trace/columnar.hpp"
@@ -28,6 +30,21 @@ bool display_before_or_equal(const Event& a, const Event& b) {
   if (a.rank != b.rank) return a.rank < b.rank;
   return a.marker <= b.marker;
 }
+
+/// `trace.encode.*` instruments, the write-side counterpart of
+/// `trace.decode.*`: v3 segments sealed and the block bytes they
+/// encoded to (tag and column headers included).
+struct EncodeMetrics {
+  obs::Counter& segments =
+      obs::MetricsRegistry::global().counter("trace.encode.segments");
+  obs::Counter& bytes =
+      obs::MetricsRegistry::global().counter("trace.encode.bytes");
+
+  static EncodeMetrics& get() {
+    static EncodeMetrics m;
+    return m;
+  }
+};
 
 }  // namespace
 
@@ -65,9 +82,6 @@ TraceWriter::TraceWriter(const std::filesystem::path& path, int num_ranks,
     last_marker_.assign(static_cast<std::size_t>(num_ranks_), 0);
     rank_seen_.assign(static_cast<std::size_t>(num_ranks_), false);
     file_bytes_ = wire::kHeaderBytes;
-    if (format_ == TraceFormat::kBinaryV3) {
-      seg_buf_.reserve(segment_events_);
-    }
   }
 }
 
@@ -86,8 +100,12 @@ void TraceWriter::check_stream(const char* op) {
   }
 }
 
-void TraceWriter::note_event(const Event& e) {
+void TraceWriter::check_rank(const Event& e) const {
   TDBG_CHECK(e.rank >= 0 && e.rank < num_ranks_, "event rank out of range");
+}
+
+void TraceWriter::note_event(const Event& e) {
+  check_rank(e);
   const auto r = static_cast<std::size_t>(e.rank);
   if (count_ > 0 && !display_before_or_equal(prev_, e)) {
     display_sorted_ = false;
@@ -121,10 +139,6 @@ void TraceWriter::note_event(const Event& e) {
 }
 
 void TraceWriter::close_segment() {
-  if (format_ == TraceFormat::kBinaryV3) {
-    close_segment_v3();
-    return;
-  }
   if (cur_.count == 0) return;
   cur_.byte_len = cur_.count * wire::kEventRecordBytes;
   segments_.push_back(std::move(cur_));
@@ -133,24 +147,125 @@ void TraceWriter::close_segment() {
   cur_.ranks.assign(static_cast<std::size_t>(num_ranks_), {});
 }
 
-void TraceWriter::close_segment_v3() {
-  if (seg_buf_.empty()) return;
-  scratch_.clear();
+void TraceWriter::seal_one(std::span<const Event> seg,
+                           SealedSegment& out) const {
+  auto& m = out.meta;
+  m.count = seg.size();
+  m.ranks.assign(static_cast<std::size_t>(num_ranks_), {});
+  out.display_sorted = true;
+  out.markers_monotone = true;
+  out.bad_rank.reset();
+  for (std::size_t i = 0; i < seg.size(); ++i) {
+    const Event& e = seg[i];
+    if (e.rank < 0 || e.rank >= num_ranks_) {
+      out.bad_rank = i;
+      return;
+    }
+    if (i > 0 && !display_before_or_equal(seg[i - 1], e)) {
+      out.display_sorted = false;
+    }
+    auto& rk = m.ranks[static_cast<std::size_t>(e.rank)];
+    if (rk.count == 0) {
+      rk.marker_lo = e.marker;
+      rk.marker_hi = e.marker;
+    } else {
+      // While the rank's markers are monotone, marker_hi is its
+      // previous marker; after the first decrease the flag is settled.
+      if (e.marker < rk.marker_hi) out.markers_monotone = false;
+      rk.marker_lo = std::min(rk.marker_lo, e.marker);
+      rk.marker_hi = std::max(rk.marker_hi, e.marker);
+    }
+    ++rk.count;
+  }
+  out.block.clear();
   columnar::SegmentZoneInfo zones;
-  columnar::encode_segment(seg_buf_, scratch_, &zones);
-  cur_.byte_len = scratch_.size();
-  cur_.kind_mask = zones.kind_mask;
-  cur_.rank_mask = zones.rank_mask;
-  cur_.zones.assign(zones.zones.begin(), zones.zones.end());
-  out_.write(reinterpret_cast<const char*>(scratch_.bytes().data()),
-             static_cast<std::streamsize>(scratch_.size()));
-  check_stream("segment write");
-  file_bytes_ += scratch_.size();
-  segments_.push_back(std::move(cur_));
-  cur_ = wire::SegmentMeta{};
-  cur_.offset = file_bytes_;
-  cur_.ranks.assign(static_cast<std::size_t>(num_ranks_), {});
-  seg_buf_.clear();
+  columnar::encode_segment(seg, out.block, &zones);
+  m.byte_len = out.block.size();
+  m.t_min = zones.zones[columnar::kColTStart].lo;
+  m.t_max = zones.zones[columnar::kColTEnd].hi;
+  m.kind_mask = zones.kind_mask;
+  m.rank_mask = zones.rank_mask;
+  m.zones.assign(zones.zones.begin(), zones.zones.end());
+}
+
+void TraceWriter::seal_segments_v3(
+    std::span<const std::span<const Event>> segs) {
+  if (sealed_.size() < segs.size()) sealed_.resize(segs.size());
+  const auto seal = [&](std::size_t s) { seal_one(segs[s], sealed_[s]); };
+  if (segs.size() < 2) {
+    for (std::size_t s = 0; s < segs.size(); ++s) seal(s);
+  } else {
+    exec::Executor::global().parallel_for(segs.size(), "trace.encode", seal);
+  }
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    if (const auto bad = sealed_[s].bad_rank) check_rank(segs[s][*bad]);
+  }
+
+  auto& metrics = EncodeMetrics::get();
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    auto& sealed = sealed_[s];
+    const auto seg = segs[s];
+    // The two footer flags across the boundary with what came before.
+    if (!sealed.display_sorted ||
+        (!segments_.empty() && !display_before_or_equal(prev_, seg.front()))) {
+      display_sorted_ = false;
+    }
+    if (!sealed.markers_monotone) markers_monotone_ = false;
+    for (std::size_t r = 0; r < sealed.meta.ranks.size(); ++r) {
+      const auto& rk = sealed.meta.ranks[r];
+      if (rk.count == 0) continue;
+      if (rank_seen_[r] && rk.marker_lo < last_marker_[r]) {
+        markers_monotone_ = false;
+      }
+      rank_seen_[r] = true;
+      last_marker_[r] = rk.marker_hi;
+    }
+    prev_ = seg.back();
+
+    sealed.meta.offset = file_bytes_;
+    out_.write(reinterpret_cast<const char*>(sealed.block.data()),
+               static_cast<std::streamsize>(sealed.block.size()));
+    check_stream("segment write");
+    file_bytes_ += sealed.block.size();
+    metrics.segments.add(-1);
+    metrics.bytes.add(-1, sealed.block.size());
+    segments_.push_back(std::move(sealed.meta));
+  }
+}
+
+void TraceWriter::write_events_v3(std::span<const Event> events) {
+  const std::size_t seg_events = segment_events_;
+  const std::size_t fill = seg_buf_.size();
+  // Top up the carried-over tail first; it seals as the first segment
+  // of this call once full.
+  const std::size_t head = std::min(events.size(), seg_events - fill);
+  std::vector<std::span<const Event>> segs;
+  std::size_t pos = 0;
+  if (fill > 0) {
+    seg_buf_.insert(seg_buf_.end(), events.begin(),
+                    events.begin() + static_cast<std::ptrdiff_t>(head));
+    pos = head;
+    if (seg_buf_.size() == seg_events) segs.emplace_back(seg_buf_);
+  }
+  // Whole segments straight from the caller's span.
+  for (; events.size() - pos >= seg_events; pos += seg_events) {
+    segs.push_back(events.subspan(pos, seg_events));
+  }
+  const bool topped_up = fill > 0 && seg_buf_.size() == seg_events;
+  const auto rest = events.subspan(pos);
+  // The events this call leaves buffered are rank-checked now, so that
+  // a bad rank fails the call that wrote it.
+  const auto left_open = fill > 0 && !topped_up ? events.first(head) : rest;
+  try {
+    for (const Event& e : left_open) check_rank(e);
+    seal_segments_v3(segs);
+  } catch (const UsageError&) {
+    seg_buf_.resize(fill);
+    throw;
+  }
+  if (topped_up) seg_buf_.clear();
+  seg_buf_.insert(seg_buf_.end(), rest.begin(), rest.end());
+  count_ += events.size();
 }
 
 void TraceWriter::write_event(const Event& event) {
@@ -165,13 +280,7 @@ void TraceWriter::write_events(std::span<const Event> events) {
     for (const Event& e : events) out_ << text_event_line(e) << '\n';
     count_ += events.size();
   } else if (format_ == TraceFormat::kBinaryV3) {
-    // Columnar blocks are sealed a segment at a time: buffer the
-    // events and let `note_event` close (encode + write) full
-    // segments as they fill.
-    for (const Event& e : events) {
-      seg_buf_.push_back(e);
-      note_event(e);
-    }
+    write_events_v3(events);
   } else {
     scratch_.clear();
     for (const Event& e : events) {
@@ -200,7 +309,11 @@ void TraceWriter::finish() {
   } else {
     // The v3 tail segment writes its own block (and uses scratch_), so
     // it must be sealed before the footer encoding starts.
-    if (format_ == TraceFormat::kBinaryV3) close_segment();
+    if (format_ == TraceFormat::kBinaryV3 && !seg_buf_.empty()) {
+      const std::span<const Event> tail(seg_buf_);
+      seal_segments_v3({&tail, 1});
+      seg_buf_.clear();
+    }
     scratch_.clear();
     wire::encode_construct_table(scratch_, table);
     if (format_ == TraceFormat::kBinary) {
@@ -650,18 +763,36 @@ void write_trace(const std::filesystem::path& path, const Trace& trace,
                  TraceFormat format, std::uint32_t segment_events) {
   TraceWriter writer(path, trace.num_ranks(), trace.constructs_ptr(), format,
                      segment_events);
-  // Stream in display order through a bounded batch buffer: a lazy
-  // source trace is never fully materialized.
-  std::vector<Event> batch;
-  batch.reserve(8192);
-  trace.for_each_event([&](std::size_t, const Event& e) {
-    batch.push_back(e);
-    if (batch.size() == batch.capacity()) {
-      writer.write_events(batch);
-      batch.clear();
+  const bool v3 = format == TraceFormat::kBinaryV3;
+  // The row formats encode each call into one scratch buffer, which a
+  // small batch keeps small.
+  constexpr std::size_t kRowBatch = 8192;
+  if (!trace.is_lazy()) {
+    // In memory the events are already one display-order span: no copy,
+    // and a v3 save seals all its segments in one call.
+    const std::span<const Event> all(trace.events());
+    const std::size_t step = v3 ? std::max<std::size_t>(1, all.size()) : kRowBatch;
+    for (std::size_t pos = 0; pos < all.size(); pos += step) {
+      writer.write_events(all.subspan(pos, std::min(step, all.size() - pos)));
     }
-  });
-  writer.write_events(batch);
+  } else {
+    // A lazy source streams through a bounded buffer and is never fully
+    // materialized; a v3 batch holds one segment per pool thread.
+    const std::size_t batch =
+        v3 ? exec::Executor::global().threads() *
+                 std::max<std::size_t>(1, segment_events)
+           : kRowBatch;
+    std::vector<Event> buf;
+    buf.reserve(batch);
+    trace.for_each_event([&](std::size_t, const Event& e) {
+      buf.push_back(e);
+      if (buf.size() == batch) {
+        writer.write_events(buf);
+        buf.clear();
+      }
+    });
+    writer.write_events(buf);
+  }
   writer.finish();
 }
 

@@ -40,13 +40,26 @@ inline constexpr std::uint32_t kDefaultSegmentEvents = 1u << 16;
 /// resulting footer flags decide whether `open_trace` may use the
 /// lazy segmented store.
 ///
-/// For v3 the writer buffers the open segment and seals it as one
-/// columnar block (see columnar.hpp) when it reaches `segment_events`
-/// records; the directory entry additionally carries the segment's
-/// kind/rank presence masks and per-column zone maps.  Because whole
-/// segments are buffered, a mid-segment crash loses the buffered tail
-/// — the collector's flush-on-demand partial traces therefore stay on
-/// v2, where every written record is durable.
+/// For v3, `write_events` seals every segment a call completes in one
+/// `parallel_for` on the analysis pool (site `trace.encode`): each task
+/// encodes its segment into its own columnar block (see columnar.hpp)
+/// and builds its directory entry — [t_min, t_max], per-rank counts
+/// and marker ranges, kind/rank presence masks, per-column zone maps —
+/// and checks display order and per-rank marker order inside the
+/// segment.  The writer then, serially and in segment order, checks
+/// both orders across segment boundaries, assigns offsets and writes
+/// the blocks, so the file is byte-identical at any thread count.
+/// Whole segments are encoded straight from the caller's span; only a
+/// segment the call leaves open is copied into the writer's buffer, and
+/// `finish()` seals it.  Because open segments are buffered, a
+/// mid-segment crash loses the buffered tail — the collector's
+/// flush-on-demand partial traces therefore stay on v2, where every
+/// written record is durable.
+///
+/// A call holding an event whose rank is out of range throws
+/// `UsageError` and writes nothing: no block of that call reaches the
+/// file.  Each sealed segment adds to the obs counters
+/// `trace.encode.segments` and `trace.encode.bytes` (block bytes).
 ///
 /// Stream failures (full disk, failed flush) throw `IoError` naming
 /// the path.
@@ -69,7 +82,9 @@ class TraceWriter {
   /// Appends a batch of records under a single lock acquisition,
   /// encoding them into one reused scratch buffer and writing them
   /// with one stream call.  This is the collector's flush path; the
-  /// per-record cost is a fraction of `write_event`'s.  Thread-safe.
+  /// per-record cost is a fraction of `write_event`'s.  On v3 the
+  /// segments the batch completes are encoded in parallel.
+  /// Thread-safe.
   void write_events(std::span<const Event> events);
 
   /// Writes the construct table, segment directory (v2), and
@@ -80,9 +95,27 @@ class TraceWriter {
   [[nodiscard]] std::uint64_t events_written() const { return count_; }
 
  private:
-  void note_event(const Event& e);   ///< directory bookkeeping, under mu_
-  void close_segment();              ///< seals the open segment, under mu_
-  void close_segment_v3();           ///< encodes + writes a v3 block, under mu_
+  /// One v3 segment as its encoding task leaves it: the block, the
+  /// directory entry (offset still unset), and what the task found
+  /// inside the segment.
+  struct SealedSegment {
+    std::vector<std::byte> block;
+    wire::SegmentMeta meta;
+    bool display_sorted = true;
+    bool markers_monotone = true;
+    /// Index of the segment's first event whose rank is out of range.
+    std::optional<std::size_t> bad_rank;
+  };
+
+  void check_rank(const Event& e) const;  ///< throws UsageError if out of range
+  void note_event(const Event& e);   ///< v2 directory bookkeeping, under mu_
+  void close_segment();              ///< seals the open v2 segment, under mu_
+  void write_events_v3(std::span<const Event> events);  ///< under mu_
+  /// Encodes `segs` in parallel and writes them in order, or writes
+  /// nothing and throws on an out-of-range rank.  Under mu_.
+  void seal_segments_v3(std::span<const std::span<const Event>> segs);
+  /// One encoding task: `seg`'s directory entry, checks and block.
+  void seal_one(std::span<const Event> seg, SealedSegment& out) const;
   void check_stream(const char* op); ///< throws IoError on failure
 
   std::filesystem::path path_;
@@ -98,18 +131,20 @@ class TraceWriter {
 
   // v2/v3 directory state (under mu_).
   std::vector<wire::SegmentMeta> segments_;
-  wire::SegmentMeta cur_;
+  wire::SegmentMeta cur_;           ///< v2: the open segment's entry
   bool display_sorted_ = true;
   bool markers_monotone_ = true;
   Event prev_;                      ///< last event seen (display order check)
   std::vector<std::uint64_t> last_marker_;  ///< per rank, monotonicity check
   std::vector<bool> rank_seen_;
 
-  // v3 state (under mu_): the open segment's buffered events and the
+  // v3 state (under mu_): the open segment's buffered events, the
   // running file offset (v3 blocks are variable-width, so offsets
-  // cannot be derived from the record count).
+  // cannot be derived from the record count), and the per-segment
+  // encode outputs, reused across calls.
   std::vector<Event> seg_buf_;
   std::uint64_t file_bytes_ = 0;
+  std::vector<SealedSegment> sealed_;
 };
 
 /// Reads a trace file eagerly (any format, detected by magic) into an
