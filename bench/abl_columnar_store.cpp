@@ -24,8 +24,8 @@
 //   sweep     >= 2x faster than v2 (wall AND cpu)
 //   window    >= 4x faster than v2 (wall AND cpu)
 //
-// scripts/bench_pr10_columnar.sh records the numbers in
-// BENCH_pr10_columnar.json.
+// scripts/verify.sh runs it with --reps 5; EXPERIMENTS.md ("columnar
+// store") keeps the numbers it printed when the format landed.
 
 #include <unistd.h>
 

@@ -23,8 +23,8 @@
 //   - fused sweep >= 2x cheaper than the N-scan baseline,
 //   - incremental update >= 10x cheaper than a full recompute.
 //
-// scripts/bench_pr8_session.sh records the medians and ratios in
-// BENCH_pr8_session.json.
+// scripts/verify.sh runs the gates; EXPERIMENTS.md ("pass fusion and
+// incremental recompute") keeps the measured medians and ratios.
 
 #include <benchmark/benchmark.h>
 

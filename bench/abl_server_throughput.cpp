@@ -13,8 +13,11 @@
 //
 // Prints p50/p99 latency and req/s per scenario, then ASSERTS the
 // PR-9 acceptance gate: cached-session match_report p50 must be at
-// least 10x faster than cold-open p50.  Exits 1 when the gate fails,
-// so scripts/bench_pr9_server.sh and CI inherit the check.
+// least 10x faster than cold-open p50.  Exits 1 when the gate fails.
+// scripts/verify.sh does not run it: the cached p50 re-encodes the
+// report on every request, and the ratio has read 9.2x-15.8x on a
+// 4-thread host, so the gate is too close to its bound to be a CI
+// check until served payloads are memoized.
 
 #include <unistd.h>
 

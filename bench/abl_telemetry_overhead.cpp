@@ -97,8 +97,8 @@ BENCHMARK(BM_PipelineBare)->Unit(benchmark::kMillisecond);
 
 void BM_PipelineDisabledLog(benchmark::State& state) {
   // One suppressed TDBG_LOG per message on each side — the disabled
-  // path the ≤1.05x acceptance bound (scripts/bench_pr6_telemetry.sh)
-  // is asserted against.
+  // path the ≤1.05x acceptance bound in EXPERIMENTS.md ("telemetry
+  // overhead") is stated against.
   constexpr int kMsgs = 20000;
   TelemetryConfig config(telemetry::LogLevel::kOff);
   for (auto _ : state) {

@@ -1,33 +1,28 @@
 #include "apps/halo.hpp"
 
-#include <cstring>
-#include <numeric>
+#include <vector>
 
 #include "instrument/api.hpp"
 
 namespace tdbg::apps::halo {
+namespace {
 
-void HaloApp::init(mpi::Comm& comm) {
-  rank_ = comm.rank();
-  size_ = comm.size();
-  data_.assign(options_.cells, static_cast<double>(rank_ + 1));
-}
-
-bool HaloApp::step(mpi::Comm& comm, std::uint64_t index) {
+/// Superstep `index`: send my boundary values out, then receive the
+/// neighbours' — quiescent by construction — and relax `data`.
+void step(mpi::Comm& comm, std::vector<double>& data, std::uint64_t index) {
   TDBG_FUNCTION_ARGS(index, 0);
-  const mpi::Rank left = rank_ > 0 ? rank_ - 1 : mpi::kAnySource;
-  const mpi::Rank right = rank_ < size_ - 1 ? rank_ + 1 : mpi::kAnySource;
+  const mpi::Rank rank = comm.rank();
+  const mpi::Rank left = rank > 0 ? rank - 1 : mpi::kAnySource;
+  const mpi::Rank right = rank < comm.size() - 1 ? rank + 1 : mpi::kAnySource;
 
-  // Send my boundary values out, then receive the neighbours' —
-  // quiescent by construction.
   if (left != mpi::kAnySource) {
-    comm.send_value<double>(data_.front(), left, 1, "halo_send");
+    comm.send_value<double>(data.front(), left, 1, "halo_send");
   }
   if (right != mpi::kAnySource) {
-    comm.send_value<double>(data_.back(), right, 2, "halo_send");
+    comm.send_value<double>(data.back(), right, 2, "halo_send");
   }
-  double from_right = data_.back();
-  double from_left = data_.front();
+  double from_right = data.back();
+  double from_left = data.front();
   if (right != mpi::kAnySource) {
     from_right = comm.recv_value<double>(right, 1, nullptr, "halo_recv");
   }
@@ -35,33 +30,24 @@ bool HaloApp::step(mpi::Comm& comm, std::uint64_t index) {
     from_left = comm.recv_value<double>(left, 2, nullptr, "halo_recv");
   }
 
-  std::vector<double> next(data_);
-  next.front() = 0.5 * (data_.front() + from_left);
-  next.back() = 0.5 * (data_.back() + from_right);
-  for (std::size_t i = 1; i + 1 < data_.size(); ++i) {
-    next[i] = 0.25 * (data_[i - 1] + 2 * data_[i] + data_[i + 1]);
+  std::vector<double> next(data);
+  next.front() = 0.5 * (data.front() + from_left);
+  next.back() = 0.5 * (data.back() + from_right);
+  for (std::size_t i = 1; i + 1 < data.size(); ++i) {
+    next[i] = 0.25 * (data[i - 1] + 2 * data[i] + data[i + 1]);
   }
-  data_ = std::move(next);
-  return index + 1 < options_.max_steps;
+  data = std::move(next);
 }
 
-std::vector<std::byte> HaloApp::snapshot() const {
-  std::vector<std::byte> bytes(data_.size() * sizeof(double));
-  std::memcpy(bytes.data(), data_.data(), bytes.size());
-  return bytes;
-}
+}  // namespace
 
-void HaloApp::restore(std::span<const std::byte> state) {
-  data_.resize(state.size() / sizeof(double));
-  std::memcpy(data_.data(), state.data(), state.size());
-}
-
-double HaloApp::checksum() const {
-  return std::accumulate(data_.begin(), data_.end(), 0.0);
-}
-
-replay::SteppableFactory factory(Options options) {
-  return [options](mpi::Rank) { return std::make_unique<HaloApp>(options); };
+void rank_body(mpi::Comm& comm, const Options& options) {
+  std::vector<double> data(options.cells,
+                            static_cast<double>(comm.rank() + 1));
+  std::uint64_t index = 0;
+  do {
+    step(comm, data, index);
+  } while (++index < options.max_steps);
 }
 
 }  // namespace tdbg::apps::halo

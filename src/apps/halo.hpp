@@ -1,45 +1,25 @@
 #pragma once
 
-#include <vector>
+#include <cstdint>
 
-#include "replay/checkpointed_session.hpp"
+#include "mpi/comm.hpp"
 
 /// \file halo.hpp
-/// A BSP halo-exchange relaxation implementing `replay::SteppableApp`
-/// — the cooperative target for checkpoint-accelerated rollback (§6).
-/// Each superstep exchanges boundary values with ring neighbours and
-/// relaxes the interior; steps end quiescent by construction (send,
-/// then receive everything sent to you).
+/// A BSP halo-exchange relaxation.  Each superstep exchanges boundary
+/// values with ring neighbours and relaxes the interior; steps end
+/// quiescent by construction (send, then receive everything sent to
+/// you).
 
 namespace tdbg::apps::halo {
 
 /// Workload parameters.
 struct Options {
   std::size_t cells = 32;        ///< per-rank vector length
-  std::uint64_t max_steps = 200; ///< supersteps before finishing
+  std::uint64_t max_steps = 200; ///< supersteps to run (at least one)
 };
 
-/// The steppable app (one instance per rank).
-class HaloApp : public replay::SteppableApp {
- public:
-  explicit HaloApp(Options options) : options_(options) {}
-
-  void init(mpi::Comm& comm) override;
-  bool step(mpi::Comm& comm, std::uint64_t index) override;
-  [[nodiscard]] std::vector<std::byte> snapshot() const override;
-  void restore(std::span<const std::byte> state) override;
-
-  /// Deterministic digest of the current state (test witness).
-  [[nodiscard]] double checksum() const;
-
- private:
-  Options options_;
-  mpi::Rank rank_ = 0;
-  int size_ = 1;
-  std::vector<double> data_;
-};
-
-/// Factory for `replay::CheckpointedSession`.
-replay::SteppableFactory factory(Options options = {});
+/// The rank body: starts every cell at `rank + 1` and runs
+/// `max_steps` supersteps.
+void rank_body(mpi::Comm& comm, const Options& options);
 
 }  // namespace tdbg::apps::halo

@@ -52,10 +52,6 @@ Comm::Comm(World* world, Rank rank) : world_(world), rank_(rank) {
 
 int Comm::size() const { return world_->size(); }
 
-std::size_t Comm::pending_messages() const {
-  return world_->mailbox(rank_).queued_count(/*user_only=*/true);
-}
-
 // --- PMPI layer -----------------------------------------------------------
 
 void Comm::pmpi_send(std::span<const std::byte> data, Rank dest, Tag tag) {
@@ -122,14 +118,20 @@ void Comm::pmpi_ssend(std::span<const std::byte> data, Rank dest, Tag tag) {
   // Slow path: sleep in the registry until the matching receive wakes
   // this rank (or an abort does).  The slot is re-checked under the
   // registry lock, which the receiver takes only after storing the
-  // ticket, so a match cannot slip in between check and wait.
+  // ticket, so a match cannot slip in between check and wait.  The
+  // wake that ends a wait can be a late one from this rank's previous
+  // rendezvous: that receiver stores the ticket, this rank sees it
+  // while spinning and moves on, and the receiver's wake lands in the
+  // next ssend's wait.  So wait again until the slot holds this ticket.
   MailboxShared& shared = world_->shared();
-  if (shared.registry.enter_ssend(rank_, dest, tag, slot, ticket)) {
-    world_->declare_deadlock();
+  while (slot.load(std::memory_order_acquire) < ticket) {
+    if (shared.aborted.load(std::memory_order_acquire)) throw Aborted{};
+    if (shared.registry.enter_ssend(rank_, dest, tag, slot, ticket)) {
+      world_->declare_deadlock();
+    }
+    shared.registry.await_ssend(rank_, shared.aborted);
+    shared.registry.exit_wait(rank_);
   }
-  shared.registry.await_ssend(rank_, shared.aborted);
-  shared.registry.exit_wait(rank_);
-  if (slot.load(std::memory_order_acquire) < ticket) throw Aborted{};
 }
 
 Status Comm::pmpi_recv(std::vector<std::byte>& out, Rank source, Tag tag) {

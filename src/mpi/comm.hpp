@@ -231,12 +231,6 @@ class Comm {
   /// controller's `recv_index` space).
   [[nodiscard]] std::uint64_t recv_count() const { return recv_index_; }
 
-  /// User-tag messages queued in this rank's mailbox, delivered but
-  /// not yet received by the application (internal collective traffic
-  /// is excluded).  Zero at a quiescent point — what the checkpointed
-  /// session verifies at superstep boundaries.
-  [[nodiscard]] std::size_t pending_messages() const;
-
   // --- Internal surface for SubComm (see subcomm.hpp) ------------------
 
   /// Sends on a context-banded wire tag; profiled with the

@@ -18,7 +18,7 @@
 /// ("the monitor ... can be toggled on and off to control trace size",
 /// §2-3): the debugger must know what observation costs, how many
 /// messages/bytes flowed, and how long its own machinery (flush,
-/// replay, checkpointing, analysis) took.
+/// replay, analysis) took.
 ///
 /// Design constraints, in order:
 ///
@@ -33,7 +33,7 @@
 ///
 /// Naming convention: `family.detail[_unit]`, where the family is the
 /// taxonomy DESIGN.md describes — `mpi` (runtime), `collector`
-/// (trace collection), `replay` (record/replay/checkpoint),
+/// (trace collection), `replay` (record/replay),
 /// `analysis` (graph builds and detectors), `bench` (harness).
 
 namespace tdbg::obs {

@@ -12,7 +12,7 @@
 /// \file span.hpp
 /// Span-based self-profiling: a `Span` is an RAII begin/end pair over
 /// a named phase of the *debugger's own* machinery — record, replay,
-/// analysis, checkpoint, fault injection, and the mini-MPI slow paths
+/// analysis, fault injection, and the mini-MPI slow paths
 /// (match wait, park, trace flush).  Completed spans land in a global
 /// bounded collector and export to Chrome trace-event JSON
 /// (`chrome_trace.hpp`), so a whole session opens in

@@ -35,13 +35,14 @@
 ///   kDeltaVarint  LEB128 of zigzag(v[i] - v[i-1]), v[-1] = 0
 ///   kRaw          fixed 8-byte little-endian
 ///
-/// Decoding is column-at-a-time into reusable u64 scratch, then a
-/// tight per-field scatter into `Event` rows — no per-record dispatch,
-/// no per-field bounds checks.  A reader may decode any subset of
-/// columns (`ColumnSet`); unselected fields are unspecified (the
-/// output vector is reused unzeroed).  Any inconsistency — a payload that stops short, a
-/// varint running past its block, an invalid kind or rank — raises
-/// `FormatError` naming the segment and the column.
+/// Decoding is tiled: each L1-sized run of rows takes every selected
+/// column straight into its `Event` fields while the run is cache-hot —
+/// no per-record dispatch, no per-field bounds checks.  A reader may
+/// decode any subset of columns (`ColumnSet`); unselected fields are
+/// unspecified (the output vector is reused unzeroed).  Any
+/// inconsistency — a payload that stops short, a varint running past
+/// its block, an invalid kind or rank — raises `FormatError` naming the
+/// segment and the column.
 
 namespace tdbg::trace::columnar {
 
@@ -133,15 +134,6 @@ struct SegmentZoneInfo {
 void encode_segment(std::span<const Event> events, std::vector<std::byte>& out,
                     SegmentZoneInfo* zone_out);
 
-/// Reusable per-thread decode buffers; keep one per call site (see
-/// `thread_local` uses in store.cpp) so repeated segment decodes never
-/// reallocate.
-struct DecodeScratch {
-  std::vector<std::uint64_t> vals;
-  std::vector<std::byte> blob;
-  std::vector<Event> events;
-};
-
 /// Result of decoding (part of) one segment block.
 struct DecodeResult {
   SegmentHeader header;
@@ -167,7 +159,6 @@ struct DecodeResult {
 /// corruption.
 DecodeResult decode_segment(std::span<const std::byte> blob, ColumnSet cols,
                             int num_ranks, std::vector<Event>& out,
-                            std::vector<std::uint64_t>& scratch,
                             const std::filesystem::path& path,
                             std::size_t seg);
 
@@ -179,7 +170,6 @@ DecodeResult decode_segment(std::span<const std::byte> blob, ColumnSet cols,
 DecodeResult decode_segment_visit(
     std::span<const std::byte> blob, int num_ranks, std::size_t base_index,
     const std::function<void(std::size_t, const Event&)>& visit,
-    std::vector<std::uint64_t>& scratch, const std::filesystem::path& path,
-    std::size_t seg);
+    const std::filesystem::path& path, std::size_t seg);
 
 }  // namespace tdbg::trace::columnar

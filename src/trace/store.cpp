@@ -248,10 +248,6 @@ SegmentedTraceStore::SegmentedTraceStore(std::filesystem::path path,
   TDBG_CHECK(num_ranks_ > 0, "trace needs at least one rank");
   TDBG_CHECK(footer_.display_sorted() && footer_.rank_markers_monotone(),
              "segmented store requires a sorted v2/v3 trace");
-  fd_ = ::open(path_.c_str(), O_RDONLY);
-  if (fd_ < 0) {
-    throw IoError("cannot open trace file: " + path_.string());
-  }
   auto registry = std::make_shared<ConstructRegistry>();
   registry->restore(footer_.constructs);
   constructs_ = std::move(registry);
@@ -270,8 +266,16 @@ SegmentedTraceStore::SegmentedTraceStore(std::filesystem::path path,
           rank_first_pos_[r][s] + seg.ranks[static_cast<std::size_t>(r)].count;
     }
   }
-  TDBG_CHECK(seg_first_index_[nseg] == footer_.event_count,
-             "trace directory event count mismatch");
+  if (seg_first_index_[nseg] != footer_.event_count) {
+    throw FormatError("trace directory event count mismatch in " +
+                      path_.string());
+  }
+  // Opened after the last check that can throw, so a rejected
+  // directory leaks no descriptor.
+  fd_ = ::open(path_.c_str(), O_RDONLY);
+  if (fd_ < 0) {
+    throw IoError("cannot open trace file: " + path_.string());
+  }
   if (nseg > 0) {
     t_min_ = footer_.segments.front().t_min;
     for (const auto& seg : footer_.segments) {
@@ -375,10 +379,9 @@ SegmentedTraceStore::ProjectionPtr SegmentedTraceStore::projection(
     }
   }
   const auto bytes = blob(seg);
-  thread_local columnar::DecodeScratch scratch;
-  const auto res = columnar::decode_segment(*bytes, cols, num_ranks_,
-                                            scratch.events, scratch.vals,
-                                            path_, seg);
+  thread_local std::vector<Event> events;
+  const auto res =
+      columnar::decode_segment(*bytes, cols, num_ranks_, events, path_, seg);
   auto& m = DecodeMetrics::get();
   m.decoded_bytes.add(-1, res.decoded_bytes);
   m.columns_skipped.add(
@@ -386,13 +389,13 @@ SegmentedTraceStore::ProjectionPtr SegmentedTraceStore::projection(
               static_cast<std::uint64_t>(std::popcount(res.decoded_cols)));
   auto proj = std::make_shared<ColumnProjection>();
   proj->cols = cols;
-  const std::size_t n = scratch.events.size();
+  const std::size_t n = events.size();
   for (std::size_t c = 0; c < wire::kNumColumnsV3; ++c) {
     if ((cols & (1u << c)) == 0) continue;
     auto& vals = proj->col[c];
     vals.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
-      vals[k] = event_field_u64(c, scratch.events[k]);
+      vals[k] = event_field_u64(c, events[k]);
     }
     proj->bytes += n * sizeof(std::uint64_t);
   }
@@ -420,10 +423,8 @@ SegmentedTraceStore::SegmentPtr SegmentedTraceStore::load_segment(
   auto loaded = std::make_shared<LoadedSegment>();
   loaded->rank_positions.assign(static_cast<std::size_t>(num_ranks_), {});
   if (footer_.version == 3) {
-    thread_local std::vector<std::uint64_t> scratch;
     const auto res = columnar::decode_segment(
-        *bytes, columnar::kAllColumns, num_ranks_, loaded->events, scratch,
-        path_, seg);
+        *bytes, columnar::kAllColumns, num_ranks_, loaded->events, path_, seg);
     DecodeMetrics::get().decoded_bytes.add(-1, res.decoded_bytes);
     for (std::size_t k = 0; k < loaded->events.size(); ++k) {
       loaded->rank_positions[static_cast<std::size_t>(loaded->events[k].rank)]
@@ -446,7 +447,12 @@ SegmentedTraceStore::SegmentPtr SegmentedTraceStore::load_segment(
           std::to_string(meta.offset + k * wire::kEventRecordBytes + 1));
     }
     Event e = wire::decode_event(r);
-    TDBG_CHECK(e.rank >= 0 && e.rank < num_ranks_, "event rank out of range");
+    if (e.rank < 0 || e.rank >= num_ranks_) {
+      throw FormatError("event rank " + std::to_string(e.rank) +
+                        " outside [0, " + std::to_string(num_ranks_) +
+                        ") in trace file " + path_.string() + " at offset " +
+                        std::to_string(meta.offset + k * wire::kEventRecordBytes));
+    }
     loaded->rank_positions[static_cast<std::size_t>(e.rank)].push_back(
         static_cast<std::uint32_t>(k));
     loaded->events.push_back(e);
@@ -620,17 +626,16 @@ void SegmentedTraceStore::for_each_in_segment_cols(
     return;
   }
   const auto bytes = blob(s);
-  thread_local columnar::DecodeScratch scratch;
-  const auto res = columnar::decode_segment(*bytes, cols, num_ranks_,
-                                            scratch.events, scratch.vals,
-                                            path_, s);
+  thread_local std::vector<Event> events;
+  const auto res =
+      columnar::decode_segment(*bytes, cols, num_ranks_, events, path_, s);
   auto& m = DecodeMetrics::get();
   m.decoded_bytes.add(-1, res.decoded_bytes);
   m.columns_skipped.add(
       -1, wire::kNumColumnsV3 -
               static_cast<std::uint64_t>(std::popcount(res.decoded_cols)));
-  for (std::size_t k = 0; k < scratch.events.size(); ++k) {
-    visit(base + k, scratch.events[k]);
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    visit(base + k, events[k]);
   }
 }
 
@@ -785,13 +790,12 @@ void SegmentedTraceStore::for_each_in_segment(std::size_t s,
 
 void SegmentedTraceStore::for_each(const EventVisitor& visit) const {
   if (footer_.version == 3) {
-    // Streaming sweep: decode each block into reusable per-thread
-    // scratch and move on.  A full pass touches every segment exactly
-    // once, so materializing LoadedSegments (row copies, per-rank
-    // position indexes, LRU churn) would be pure overhead; segments
-    // already resident (or prefetched) are still reused for free.
+    // Streaming sweep: decode each block one tile at a time and move
+    // on.  A full pass touches every segment exactly once, so
+    // materializing LoadedSegments (row copies, per-rank position
+    // indexes, LRU churn) would be pure overhead; segments already
+    // resident (or prefetched) are still reused for free.
     auto& m = DecodeMetrics::get();
-    thread_local columnar::DecodeScratch scratch;
     for (std::size_t s = 0; s < footer_.segments.size(); ++s) {
       maybe_prefetch(s + 1);
       const std::size_t base = seg_first_index_[s];
@@ -806,7 +810,7 @@ void SegmentedTraceStore::for_each(const EventVisitor& visit) const {
       // time, so the sweep never writes and re-reads a multi-MB run of
       // decoded events.
       const auto res = columnar::decode_segment_visit(
-          *bytes, num_ranks_, base, visit, scratch.vals, path_, s);
+          *bytes, num_ranks_, base, visit, path_, s);
       m.decoded_bytes.add(-1, res.decoded_bytes);
     }
     return;

@@ -294,8 +294,9 @@ struct SegmentCacheStats {
 /// `sizeof(Event)`, so repeated window queries keep several times more
 /// of the trace decoded-resident than the row cache could.  Column-
 /// pruned scans (`for_each_in_segment_cols`) and the v3 full sweep
-/// (`for_each`) decode straight from the resident blocks into
-/// per-thread scratch and never populate the decoded LRU.
+/// (`for_each`) decode straight from the resident blocks into a
+/// per-thread row buffer or a stack tile and never populate the
+/// decoded LRU.
 ///
 /// Thread-safe for any number of concurrent readers:
 ///

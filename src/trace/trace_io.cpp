@@ -1,7 +1,9 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -353,11 +355,27 @@ void TraceWriter::finish() {
 
 namespace {
 
+/// A file's rank count, which must be positive.
+int checked_num_ranks(std::int64_t num_ranks, const std::string& source) {
+  if (num_ranks <= 0 || num_ranks > std::numeric_limits<int>::max()) {
+    throw FormatError("rank count " + std::to_string(num_ranks) +
+                      " is not positive in trace " + source);
+  }
+  return static_cast<int>(num_ranks);
+}
+
+[[noreturn]] void throw_rank_error(mpi::Rank rank, int num_ranks,
+                                   const std::string& source) {
+  throw FormatError("event rank " + std::to_string(rank) + " outside [0, " +
+                    std::to_string(num_ranks) + ") in trace " + source);
+}
+
 Trace read_binary(const std::vector<std::byte>& bytes,
                   const std::filesystem::path& path) {
   support::BinaryReader r(bytes);
   r.seek(sizeof wire::kMagicV1);
-  const auto num_ranks = r.get<std::int32_t>();
+  const int num_ranks =
+      checked_num_ranks(r.get<std::int32_t>(), "file " + path.string());
   std::vector<Event> events;
   bool saw_end = false;
   while (!r.exhausted()) {
@@ -384,6 +402,12 @@ Trace read_binary(const std::vector<std::byte>& bytes,
                         std::to_string(record_offset + 1));
     }
     events.push_back(wire::decode_event(r));
+    const mpi::Rank rank = events.back().rank;
+    if (rank < 0 || rank >= num_ranks) {
+      throw_rank_error(rank, num_ranks,
+                       "file " + path.string() + " at offset " +
+                           std::to_string(record_offset));
+    }
   }
   auto registry = std::make_shared<ConstructRegistry>();
   if (saw_end) {
@@ -408,10 +432,10 @@ Trace read_binary_v3(const std::vector<std::byte>& bytes,
                      const std::filesystem::path& path) {
   support::BinaryReader r(bytes);
   r.seek(sizeof wire::kMagicV3);
-  const auto num_ranks = r.get<std::int32_t>();
+  const int num_ranks =
+      checked_num_ranks(r.get<std::int32_t>(), "file " + path.string());
   std::vector<Event> events;
   std::vector<Event> seg_events;
-  std::vector<std::uint64_t> scratch;
   bool saw_end = false;
   std::size_t seg = 0;
   while (!r.exhausted()) {
@@ -426,7 +450,7 @@ Trace read_binary_v3(const std::vector<std::byte>& bytes,
     }
     const auto res = columnar::decode_segment(
         std::span(bytes).subspan(r.position()), columnar::kAllColumns,
-        num_ranks, seg_events, scratch, path, seg);
+        num_ranks, seg_events, path, seg);
     events.insert(events.end(), seg_events.begin(), seg_events.end());
     r.seek(r.position() + static_cast<std::size_t>(res.block_len));
     ++seg;
@@ -445,10 +469,23 @@ Trace read_binary_v3(const std::vector<std::byte>& bytes,
   return Trace(num_ranks, std::move(events), std::move(registry));
 }
 
+/// Parses one integer field of a text-trace line.  Anything but a
+/// whole decimal number that fits `T` is a `FormatError`.
+template <typename T>
+T parse_field(const std::string& field, const std::string& line) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [p, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || p != end) {
+    throw FormatError("bad field '" + field + "' in trace line: " + line);
+  }
+  return value;
+}
+
 Trace read_text(const std::string& content) {
   int num_ranks = 0;
   std::vector<Event> events;
-  std::vector<std::pair<std::size_t, ConstructInfo>> constructs;
+  std::vector<std::pair<std::uint32_t, ConstructInfo>> constructs;
   std::istringstream in(content);
   std::string line;
   while (std::getline(in, line)) {
@@ -456,42 +493,56 @@ Trace read_text(const std::string& content) {
     const auto fields = support::split(line, '\t');
     if (fields[0] == "R") {
       if (fields.size() != 2) throw FormatError("bad R line");
-      num_ranks = std::stoi(fields[1]);
+      num_ranks = checked_num_ranks(parse_field<std::int64_t>(fields[1], line),
+                                    "line: " + line);
     } else if (fields[0] == "E") {
       if (fields.size() != 12) throw FormatError("bad E line: " + line);
-      const int kind = std::stoi(fields[1]);
+      const int kind = parse_field<int>(fields[1], line);
       if (kind < 0 || !wire::valid_event_kind(static_cast<std::uint8_t>(kind))) {
         throw FormatError("unknown event kind " + std::to_string(kind) +
                           " in trace line: " + line);
       }
       Event e;
       e.kind = static_cast<EventKind>(kind);
-      e.rank = std::stoi(fields[2]);
-      e.marker = std::stoull(fields[3]);
-      e.construct = static_cast<ConstructId>(std::stoul(fields[4]));
-      e.t_start = std::stoll(fields[5]);
-      e.t_end = std::stoll(fields[6]);
-      e.peer = std::stoi(fields[7]);
-      e.tag = std::stoi(fields[8]);
-      e.channel_seq = std::stoull(fields[9]);
-      e.bytes = std::stoull(fields[10]);
-      e.wildcard = std::stoi(fields[11]) != 0;
+      e.rank = parse_field<mpi::Rank>(fields[2], line);
+      e.marker = parse_field<std::uint64_t>(fields[3], line);
+      e.construct = parse_field<ConstructId>(fields[4], line);
+      e.t_start = parse_field<support::TimeNs>(fields[5], line);
+      e.t_end = parse_field<support::TimeNs>(fields[6], line);
+      e.peer = parse_field<mpi::Rank>(fields[7], line);
+      e.tag = parse_field<mpi::Tag>(fields[8], line);
+      e.channel_seq = parse_field<mpi::ChannelSeq>(fields[9], line);
+      e.bytes = parse_field<std::uint64_t>(fields[10], line);
+      e.wildcard = parse_field<int>(fields[11], line) != 0;
       events.push_back(e);
     } else if (fields[0] == "C") {
       if (fields.size() != 5) throw FormatError("bad C line: " + line);
       ConstructInfo c;
-      c.line = std::stoi(fields[2]);
+      c.line = parse_field<std::int32_t>(fields[2], line);
       c.name = fields[3];
       c.file = fields[4];
-      constructs.emplace_back(std::stoul(fields[1]), std::move(c));
+      constructs.emplace_back(parse_field<std::uint32_t>(fields[1], line),
+                              std::move(c));
     } else {
       throw FormatError("unknown trace line type: " + fields[0]);
     }
   }
   if (num_ranks == 0) throw FormatError("text trace missing R line");
-  std::vector<ConstructInfo> table;
+  for (const auto& e : events) {
+    if (e.rank < 0 || e.rank >= num_ranks) {
+      throw_rank_error(e.rank, num_ranks,
+                       "text (marker " + std::to_string(e.marker) + ")");
+    }
+  }
+  // The writer numbers its C lines 0..n-1, so a larger id is corrupt
+  // (and would otherwise size the table from the file).
+  std::vector<ConstructInfo> table(constructs.size());
   for (auto& [id, info] : constructs) {
-    if (table.size() <= id) table.resize(id + 1);
+    if (id >= table.size()) {
+      throw FormatError("construct id " + std::to_string(id) +
+                        " out of range for " + std::to_string(table.size()) +
+                        " C line(s) in text trace");
+    }
     table[id] = std::move(info);
   }
   auto registry = std::make_shared<ConstructRegistry>();
@@ -570,7 +621,7 @@ std::optional<TraceFooter> try_read_footer(const std::filesystem::path& path) {
   try {
     support::BinaryReader r(footer_bytes);
     TraceFooter result;
-    result.num_ranks = num_ranks;
+    result.num_ranks = checked_num_ranks(num_ranks, "file " + path.string());
     if (r.get<std::uint8_t>() != wire::kRecordEnd) {
       throw FormatError("footer does not start with the construct table");
     }

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "support/clock.hpp"
+#include "support/error.hpp"
 #include "support/serialize.hpp"
 #include "trace/construct_registry.hpp"
 #include "trace/event.hpp"
@@ -190,6 +192,14 @@ inline void encode_construct_table(support::BinaryWriter& w,
 inline std::vector<ConstructInfo> decode_construct_table(
     support::BinaryReader& r) {
   const auto n = r.get<std::uint32_t>();
+  // Each entry takes at least 12 bytes (two length-prefixed strings
+  // and the line), so a count the rest of the record cannot hold is
+  // corrupt — and must not size the reservation.
+  if (n > r.remaining() / 12) {
+    throw FormatError("construct table claims " + std::to_string(n) +
+                      " entries in " + std::to_string(r.remaining()) +
+                      " bytes");
+  }
   std::vector<ConstructInfo> table;
   table.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -223,6 +233,19 @@ inline void encode_directory(support::BinaryWriter& w, const Footer& footer) {
   }
 }
 
+/// Reads a directory's segment count.  Each entry takes at least 40
+/// bytes (offset, length, count and time span), so a count the rest of
+/// the record cannot hold is corrupt and must not size a reservation.
+inline std::uint32_t checked_segment_count(support::BinaryReader& r) {
+  const auto n = r.get<std::uint32_t>();
+  if (n > r.remaining() / 40) {
+    throw FormatError("segment directory claims " + std::to_string(n) +
+                      " entries in " + std::to_string(r.remaining()) +
+                      " bytes");
+  }
+  return n;
+}
+
 /// Decodes the v2 directory record; the caller has consumed the
 /// kRecordDirectory tag.  `num_ranks` fixes the per-segment rank-table
 /// width.
@@ -231,7 +254,7 @@ inline void decode_directory(support::BinaryReader& r, int num_ranks,
   footer->flags = r.get<std::uint32_t>();
   footer->segment_events = r.get<std::uint32_t>();
   footer->event_count = r.get<std::uint64_t>();
-  const auto n = r.get<std::uint32_t>();
+  const auto n = checked_segment_count(r);
   footer->segments.clear();
   footer->segments.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -290,7 +313,7 @@ inline void decode_directory_v3(support::BinaryReader& r, int num_ranks,
   footer->flags = r.get<std::uint32_t>();
   footer->segment_events = r.get<std::uint32_t>();
   footer->event_count = r.get<std::uint64_t>();
-  const auto n = r.get<std::uint32_t>();
+  const auto n = checked_segment_count(r);
   footer->segments.clear();
   footer->segments.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <numeric>
+#include <thread>
 
 #include "cpu_load.hpp"
 #include "mpi/runtime.hpp"
@@ -430,6 +431,36 @@ TEST(WaitLedger, SsendAlreadyMatchedDoesNotWait) {
   EXPECT_EQ(ledger.kind(0), WaitKind::kNone);
   const std::atomic<bool> aborted{false};
   ledger.await_ssend(0, aborted);  // returns at once: never blocked
+}
+
+TEST(WaitLedger, SsendWaitsOutALateWake) {
+  // A receiver stores an ssend's ticket before it wakes the sender, so
+  // a sender that saw the ticket while spinning can already sit in its
+  // next ssend when that wake lands.  A bare wake stands in for it: the
+  // ssend must keep waiting for its own match, not unwind as if the
+  // world had aborted (which ended the rank and stranded rank 0).
+  std::shared_ptr<World> world;
+  RunOptions options;
+  options.on_world_ready = [&](std::shared_ptr<World> w) {
+    world = std::move(w);
+  };
+  const auto result = run(
+      2,
+      [&](Comm& comm) {
+        if (comm.rank() == 1) {
+          const int v = 7;
+          comm.ssend(std::as_bytes(std::span<const int>(&v, 1)), 0, 1);
+          comm.send_value<int>(8, 0, 2);
+          return;
+        }
+        auto& ledger = world->shared().registry;
+        while (ledger.kind(1) != WaitKind::kSsend) std::this_thread::yield();
+        ledger.wake(1, WaitKind::kSsend);
+        EXPECT_EQ(comm.recv_value<int>(1, 1), 7);
+        EXPECT_EQ(comm.recv_value<int>(1, 2), 8);
+      },
+      options);
+  EXPECT_TRUE(result.completed) << result.abort_detail;
 }
 
 // --- Oversubscription: woken ranks wait for a CPU ------------------------

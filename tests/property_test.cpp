@@ -5,6 +5,7 @@
 
 #include "analysis/races.hpp"
 #include "analysis/session.hpp"
+#include "apps/halo.hpp"
 #include "apps/lu.hpp"
 #include "apps/strassen.hpp"
 #include "apps/taskfarm.hpp"
@@ -88,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Positions, StoplineSweep,
 
 // --- Causality invariants on every workload ------------------------------
 
-enum class Workload { kStrassen, kLu, kLuNonblocking, kFarm };
+enum class Workload { kStrassen, kLu, kLuNonblocking, kFarm, kHalo };
 
 class CausalityInvariants : public ::testing::TestWithParam<Workload> {
  protected:
@@ -120,6 +121,14 @@ class CausalityInvariants : public ::testing::TestWithParam<Workload> {
         opts.num_tasks = 12;
         return replay::record(4, [opts](mpi::Comm& comm) {
           apps::taskfarm::rank_body(comm, opts);
+        });
+      }
+      case Workload::kHalo: {
+        apps::halo::Options opts;
+        opts.cells = 8;
+        opts.max_steps = 6;
+        return replay::record(4, [opts](mpi::Comm& comm) {
+          apps::halo::rank_body(comm, opts);
         });
       }
     }
@@ -214,7 +223,7 @@ TEST_P(CausalityInvariants, TraceRoundTripsThroughBothFormats) {
 INSTANTIATE_TEST_SUITE_P(Workloads, CausalityInvariants,
                          ::testing::Values(Workload::kStrassen, Workload::kLu,
                                            Workload::kLuNonblocking,
-                                           Workload::kFarm));
+                                           Workload::kFarm, Workload::kHalo));
 
 // --- Nonblocking LU equivalence ------------------------------------------
 

@@ -8,7 +8,6 @@
 #include "apps/strassen.hpp"
 #include "apps/taskfarm.hpp"
 #include "cpu_load.hpp"
-#include "replay/checkpoint.hpp"
 #include "replay/record.hpp"
 #include "replay/replay.hpp"
 #include "replay/stopline.hpp"
@@ -271,48 +270,6 @@ TEST(Stopline, VerticalCutsAreConsistent) {
     EXPECT_TRUE(causality::is_consistent(report, index, cut))
         << "i=" << i;
   }
-}
-
-TEST(Checkpoint, KeepsLogarithmicBacklog) {
-  CheckpointStore store(1, /*interval=*/8);
-  for (std::uint64_t m = 0; m <= 4096; m += 8) {
-    store.offer(0, m, std::vector<std::byte>(4));
-  }
-  // 513 offers; a logarithmic backlog must be dramatically smaller.
-  EXPECT_LE(store.count(0), 16u);
-  EXPECT_GE(store.count(0), 4u);
-
-  // The newest checkpoint at-or-before a target must exist and the
-  // replay distance must shrink as targets get more recent.
-  const auto near_end = store.best_before(0, 4090);
-  ASSERT_TRUE(near_end.has_value());
-  EXPECT_LE(4090 - near_end->marker, 64u);
-
-  const auto mid = store.best_before(0, 2000);
-  ASSERT_TRUE(mid.has_value());
-  EXPECT_LE(2000 - mid->marker, 2048u);
-}
-
-TEST(Checkpoint, BestBeforeRespectsTarget) {
-  CheckpointStore store(2, 1);
-  store.offer(1, 10, {});
-  store.offer(1, 20, {});
-  store.offer(1, 30, {});
-  EXPECT_FALSE(store.best_before(1, 5).has_value());
-  auto c = store.best_before(1, 25);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->marker, 20u);
-  c = store.best_before(1, 30);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->marker, 30u);
-}
-
-TEST(Checkpoint, OffersBelowIntervalAreIgnored) {
-  CheckpointStore store(1, 100);
-  EXPECT_TRUE(store.offer(0, 0, {}));
-  EXPECT_FALSE(store.offer(0, 50, {}));
-  EXPECT_TRUE(store.offer(0, 100, {}));
-  EXPECT_EQ(store.count(0), 2u);
 }
 
 }  // namespace

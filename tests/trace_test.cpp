@@ -3,7 +3,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "analysis/session.hpp"
@@ -425,6 +428,192 @@ TEST(TraceIoTest, WriteEventsBatchRoundTrip) {
   for (std::size_t i = 0; i < loaded.size(); ++i) {
     EXPECT_EQ(loaded.event(i).marker, i + 1);
   }
+}
+
+// --- malformed input: every defect is a FormatError ----------------------
+
+/// Writes `content` to `file` verbatim.
+void write_bytes(const TempFile& file, const std::string& content) {
+  std::ofstream out(file.path(), std::ios::binary);
+  out << content;
+}
+
+/// A valid two-rank text trace with one construct, whose lines the
+/// cases below corrupt one at a time.
+std::string text_trace(const std::string& r_line, const std::string& e_line,
+                       const std::string& c_line) {
+  return r_line + "\n" + e_line + "\n" + c_line + "\n";
+}
+
+constexpr const char* kGoodR = "R\t2";
+constexpr const char* kGoodE = "E\t0\t1\t1\t0\t10\t20\t-1\t-1\t0\t0\t0";
+constexpr const char* kGoodC = "C\t0\t7\tmain\tmain.cpp";
+
+struct MalformedText {
+  const char* name;
+  std::string content;
+  friend std::ostream& operator<<(std::ostream& os, const MalformedText& c) {
+    return os << c.name;
+  }
+};
+
+class MalformedTextTest : public ::testing::TestWithParam<MalformedText> {};
+
+TEST_P(MalformedTextTest, IsFormatError) {
+  TempFile file;
+  write_bytes(file, GetParam().content);
+  EXPECT_THROW(static_cast<void>(read_trace(file.path())), FormatError);
+  EXPECT_THROW(static_cast<void>(open_trace(file.path())), FormatError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Malformed, MalformedTextTest,
+    ::testing::Values(
+        MalformedText{"RankNotANumber",
+                      text_trace(kGoodR,
+                                 "E\t0\tx\t1\t0\t10\t20\t-1\t-1\t0\t0\t0",
+                                 kGoodC)},
+        MalformedText{"RankOutOfRange",
+                      text_trace(kGoodR,
+                                 "E\t0\t5\t1\t0\t10\t20\t-1\t-1\t0\t0\t0",
+                                 kGoodC)},
+        MalformedText{"RankNegative",
+                      text_trace(kGoodR,
+                                 "E\t0\t-1\t1\t0\t10\t20\t-1\t-1\t0\t0\t0",
+                                 kGoodC)},
+        MalformedText{"RankCountNegative", text_trace("R\t-3", kGoodE, kGoodC)},
+        MalformedText{"RankCountNotANumber",
+                      text_trace("R\ttwo", kGoodE, kGoodC)},
+        MalformedText{"KindNotANumber",
+                      text_trace(kGoodR,
+                                 "E\tk\t1\t1\t0\t10\t20\t-1\t-1\t0\t0\t0",
+                                 kGoodC)},
+        MalformedText{"MarkerTrailingGarbage",
+                      text_trace(kGoodR,
+                                 "E\t0\t1\t12abc\t0\t10\t20\t-1\t-1\t0\t0\t0",
+                                 kGoodC)},
+        MalformedText{"TimeEmpty",
+                      text_trace(kGoodR,
+                                 "E\t0\t1\t1\t0\t\t20\t-1\t-1\t0\t0\t0",
+                                 kGoodC)},
+        MalformedText{"PeerOverflows",
+                      text_trace(kGoodR,
+                                 "E\t0\t1\t1\t0\t10\t20\t99999999999\t-1\t0\t0\t0",
+                                 kGoodC)},
+        MalformedText{"BytesNegative",
+                      text_trace(kGoodR,
+                                 "E\t0\t1\t1\t0\t10\t20\t-1\t-1\t0\t-5\t0",
+                                 kGoodC)},
+        MalformedText{"ConstructLineNotANumber",
+                      text_trace(kGoodR, kGoodE, "C\t0\tseven\tmain\tmain.cpp")},
+        MalformedText{"ConstructIdPastTable",
+                      text_trace(kGoodR, kGoodE, "C\t2\t7\tmain\tmain.cpp")}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// Kept apart from the table: an id-sized table resize wraps to zero on
+// this id, so an unchecked reader writes out of bounds.
+TEST(MalformedTraceTest, MaxConstructIdIsFormatError) {
+  TempFile file;
+  write_bytes(file, text_trace(kGoodR, kGoodE,
+                               "C\t18446744073709551615\t7\tmain\tmain.cpp"));
+  EXPECT_THROW(static_cast<void>(read_trace(file.path())), FormatError);
+}
+
+/// A small valid binary trace in `format`: two ranks, one event each.
+std::string binary_trace(TraceFormat format) {
+  auto registry = std::make_shared<ConstructRegistry>();
+  registry->intern("main", "main.cpp", 7);
+  std::vector<Event> events{make_event(EventKind::kMark, 0, 1, 10, 20),
+                            make_event(EventKind::kMark, 1, 1, 30, 40)};
+  TempFile file;
+  write_trace(file.path(), Trace(2, std::move(events), registry), format);
+  std::ifstream in(file.path(), std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Overwrites the little-endian i32/u32 at `offset`.
+void patch_u32(std::string& bytes, std::size_t offset, std::uint32_t v) {
+  std::memcpy(bytes.data() + offset, &v, sizeof v);
+}
+
+constexpr std::size_t kRankCountOffset = 8;  // after the 8-byte magic
+constexpr std::size_t kFirstRankOffset = 14; // header + tag + kind
+
+struct MalformedBinary {
+  const char* name;
+  TraceFormat format;
+  std::size_t offset;
+  std::uint32_t value;
+  friend std::ostream& operator<<(std::ostream& os, const MalformedBinary& c) {
+    return os << c.name;
+  }
+};
+
+class MalformedBinaryTest : public ::testing::TestWithParam<MalformedBinary> {
+};
+
+TEST_P(MalformedBinaryTest, IsFormatError) {
+  const auto& c = GetParam();
+  auto bytes = binary_trace(c.format);
+  patch_u32(bytes, c.offset, c.value);
+  TempFile file;
+  write_bytes(file, bytes);
+  EXPECT_THROW(static_cast<void>(read_trace(file.path())), FormatError);
+  // The lazy store decodes rows on demand, so touch every event.
+  EXPECT_THROW(
+      {
+        const Trace lazy = open_trace(file.path());
+        for (std::size_t i = 0; i < lazy.size(); ++i) {
+          static_cast<void>(lazy.event(i));
+        }
+      },
+      FormatError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Malformed, MalformedBinaryTest,
+    ::testing::Values(
+        MalformedBinary{"V1RowRankOutOfRange", TraceFormat::kBinaryV1,
+                        kFirstRankOffset, 5},
+        MalformedBinary{"V2RowRankOutOfRange", TraceFormat::kBinary,
+                        kFirstRankOffset, 5},
+        MalformedBinary{"V2RowRankNegative", TraceFormat::kBinary,
+                        kFirstRankOffset, 0xffffffffu},
+        MalformedBinary{"V1RankCountNegative", TraceFormat::kBinaryV1,
+                        kRankCountOffset, static_cast<std::uint32_t>(-3)},
+        MalformedBinary{"V2RankCountNegative", TraceFormat::kBinary,
+                        kRankCountOffset, static_cast<std::uint32_t>(-3)},
+        MalformedBinary{"V3RankCountNegative", TraceFormat::kBinaryV3,
+                        kRankCountOffset, static_cast<std::uint32_t>(-3)},
+        MalformedBinary{"V3RankCountZero", TraceFormat::kBinaryV3,
+                        kRankCountOffset, 0}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// Kept apart from the table: an unchecked reader reserves ~4G
+// construct entries for this file.
+TEST(MalformedTraceTest, HugeConstructCountIsFormatError) {
+  auto bytes = binary_trace(TraceFormat::kBinaryV1);
+  // v1 layout: header, two 59-byte event records, the end tag, then
+  // the construct table's u32 count.
+  patch_u32(bytes, 12 + 2 * 59 + 1, 0xffffffffu);
+  TempFile file;
+  write_bytes(file, bytes);
+  EXPECT_THROW(static_cast<void>(read_trace(file.path())), FormatError);
+}
+
+// Same for the footer's segment directory, which the lazy open reads.
+TEST(MalformedTraceTest, HugeDirectoryCountIsFormatError) {
+  auto bytes = binary_trace(TraceFormat::kBinary);
+  // Trailer: u64 footer offset, then the 8-byte footer magic.
+  std::uint64_t footer = 0;
+  std::memcpy(&footer, bytes.data() + bytes.size() - 16, sizeof footer);
+  // Footer: end tag, the one-entry construct table ("main", "main.cpp",
+  // line), directory tag, flags, segment_events, event_count, count.
+  const std::size_t table = 4 + (4 + 4) + (4 + 8) + 4;
+  patch_u32(bytes, footer + 1 + table + 1 + 4 + 4 + 8, 0xffffffffu);
+  TempFile file;
+  write_bytes(file, bytes);
+  EXPECT_THROW(static_cast<void>(open_trace(file.path())), FormatError);
 }
 
 }  // namespace

@@ -118,12 +118,7 @@ Target make_target(const std::string& name) {
     halo::Options opts;
     opts.cells = 64;
     opts.max_steps = 40;
-    return {4, [opts](tdbg::mpi::Comm& comm) {
-              halo::HaloApp app(opts);
-              app.init(comm);
-              for (std::uint64_t s = 0; app.step(comm, s); ++s) {
-              }
-            }};
+    return {4, [opts](tdbg::mpi::Comm& comm) { halo::rank_body(comm, opts); }};
   }
   return {};
 }
